@@ -2,8 +2,7 @@
 
 import io
 
-from tridiff import core_filter, fuse, parse, score_objects, top_l
-from tridiff.similarity import diffusion_row
+from tridiff import Scorer, core_filter, parse
 
 OBJECT_LOG = """\
 userId,movieId,rating
@@ -34,13 +33,10 @@ print(
 )
 
 target = dataset.users.index_of["1"]
-obj_row = diffusion_row(dataset.user_object, target, channel="object")
-tag_row = diffusion_row(dataset.user_tag, target, channel="tag")
+scorer = Scorer(dataset, "diffusion")
+p_obj, p_tag = scorer.channel_scores(target)
 
 for lam in (0.0, 0.74, 1.0):
-    fused = fuse(obj_row, tag_row, lam)
-    listing = top_l(score_objects(dataset, fused), L=3)
-    pretty = [
-        (dataset.objects.external_ids[o], round(s, 4)) for o, s in listing.entries
-    ]
+    listing = scorer.top_l(scorer.combine(p_obj, p_tag, lam), target, L=3)
+    pretty = [(dataset.objects.external_ids[o], round(s, 4)) for o, s in listing]
     print(f"lambda={lam}: top movies for user 1 -> {pretty}")

@@ -6,29 +6,16 @@ from .core import (
     GraphConstructionError,
     TripartiteDataset,
     build_graph,
-    degree_user_object,
-    degree_user_tag,
 )
 from .evaluation import (
     ExperimentConfig,
     MetricsReport,
     UndefinedMetricError,
-    rank_of_test_pairs,
-    ranking_score,
-    recall_precision_at,
+    evaluate_split,
     run_experiment,
 )
 from .ingest import EvaluationSplit, RawRecords, core_filter, parse, split
-from .recommend import RecommendationList, ScoreVector, score_objects, top_l
-from .similarity import (
-    ResourceVector,
-    SimilarityRow,
-    cosine_row,
-    diffusion_row,
-    fuse,
-    jaccard_row,
-    spread,
-)
+from .recommend import Scorer
 
 __version__ = "0.1.0"
 
@@ -40,27 +27,13 @@ __all__ = [
     "GraphConstructionError",
     "MetricsReport",
     "RawRecords",
-    "RecommendationList",
-    "ResourceVector",
-    "ScoreVector",
-    "SimilarityRow",
+    "Scorer",
     "TripartiteDataset",
     "UndefinedMetricError",
     "build_graph",
     "core_filter",
-    "cosine_row",
-    "degree_user_object",
-    "degree_user_tag",
-    "diffusion_row",
-    "fuse",
-    "jaccard_row",
+    "evaluate_split",
     "parse",
-    "rank_of_test_pairs",
-    "ranking_score",
-    "recall_precision_at",
     "run_experiment",
-    "score_objects",
     "split",
-    "spread",
-    "top_l",
 ]

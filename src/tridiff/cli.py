@@ -13,8 +13,9 @@ import os
 import sys
 from pathlib import Path
 
-from . import evaluation, ingest, recommend, similarity, snapshot
+from . import evaluation, ingest, similarity, snapshot
 from .evaluation import ExperimentConfig, MetricsReport
+from .recommend import Scorer
 
 ENV_PREFIX = "TRIDIFF_"
 
@@ -66,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--train-frac", type=float, default=0.9)
     p_sweep.add_argument("--L", type=_parse_int_list, default=[10, 20])
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sweep.add_argument("--threads", type=int, default=os.cpu_count() or 1)
 
     p_rec = sub.add_parser("recommend", help="print a top-L list for one user")
     p_rec.add_argument("--out", required=True, help="snapshot directory")
@@ -91,7 +91,6 @@ def apply_env_overrides(args: argparse.Namespace, parser: argparse.ArgumentParse
         "seed": int,
         "train_frac": float,
         "L": _parse_int_list,
-        "threads": int,
     }
     for dest in vars(args):
         if dest == "command":
@@ -135,17 +134,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         json.dump(info, fh, indent=2)
     print(json.dumps(info, indent=2))
     return 0
-
-
-def _lambda_grid(args: argparse.Namespace) -> tuple[float, ...]:
-    if args.lambda_ is not None:
-        return (args.lambda_,)
-    grid = []
-    lam = args.lambda_min
-    steps = round((args.lambda_max - args.lambda_min) / args.lambda_step)
-    for i in range(steps + 1):
-        grid.append(round(args.lambda_min + i * args.lambda_step, 10))
-    return tuple(grid)
 
 
 def write_cells_csv(report: MetricsReport, kind: str, path: Path) -> None:
@@ -202,7 +190,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error: no snapshot in {out}; run ingest first", file=sys.stderr)
         return 1
     try:
-        grid = _lambda_grid(args)
+        if args.lambda_ is not None:
+            grid = (args.lambda_,)
+        else:
+            grid = evaluation.lambda_grid(args.lambda_min, args.lambda_max, args.lambda_step)
         configs = {
             kind: ExperimentConfig(
                 similarity_kind=kind,
@@ -218,7 +209,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     for kind, config in configs.items():
-        report = evaluation.run_experiment(dataset, config, threads=args.threads)
+        report = evaluation.run_experiment(dataset, config)
         write_cells_csv(report, kind, out / f"sweep_{kind}.csv")
         write_summary(report, kind, out, args.format)
         for (lam, run), reason in sorted(report.cell_errors.items()):
@@ -230,6 +221,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_recommend(args: argparse.Namespace) -> int:
+    if not 0.0 <= args.lambda_ <= 1.0:  # also rejects NaN
+        print(
+            f"usage error: lambda must lie in [0, 1], got {args.lambda_}", file=sys.stderr
+        )
+        return 2
+    if args.L < 1:
+        print(f"usage error: L must be >= 1, got {args.L}", file=sys.stderr)
+        return 2
     out = Path(args.out)
     try:
         dataset = snapshot.load_dataset(out)
@@ -240,23 +239,13 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         print(f"error: unknown user id {args.user!r}", file=sys.stderr)
         return 1
     v = dataset.users.index_of[args.user]
-    row_fns = {
-        "diffusion": similarity.diffusion_row,
-        "cosine": similarity.cosine_row,
-        "jaccard": similarity.jaccard_row,
-    }
-    row_fn = row_fns[args.similarity]
-    fused = similarity.fuse(
-        row_fn(dataset.user_object, v, channel="object"),
-        row_fn(dataset.user_tag, v, channel="tag"),
-        args.lambda_,
-    )
-    scores = recommend.score_objects(dataset, fused)
-    listing = recommend.top_l(scores, args.L)
-    if not listing.entries:
+    scorer = Scorer(dataset, args.similarity)
+    p = scorer.combine(*scorer.channel_scores(v), args.lambda_)
+    listing = scorer.top_l(p, v, args.L)
+    if not listing:
         print(f"warning: no positive-score objects for user {args.user}", file=sys.stderr)
         return 0
-    for obj_idx, score in listing.entries:
+    for obj_idx, score in listing:
         print(f"{dataset.objects.external_ids[obj_idx]}\t{_float_fmt(score)}")
     return 0
 

@@ -167,12 +167,3 @@ class TripartiteDataset:
     def is_empty(self) -> bool:
         return len(self.users) == 0
 
-
-def degree_user_object(dataset: TripartiteDataset, u: int) -> int:
-    """Degree of user u in the user-object graph."""
-    return dataset.user_object.left_degree(u)
-
-
-def degree_user_tag(dataset: TripartiteDataset, u: int) -> int:
-    """Degree of user u in the user-tag graph."""
-    return dataset.user_tag.left_degree(u)

@@ -15,40 +15,41 @@ exactly per cell.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import functools
+import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .core import TripartiteDataset
 from .ingest import EvaluationSplit, split
-from .similarity import DIFFUSION, KINDS, similarity_vector
-
-FUSED = "fused"
-OBJECT_ONLY = "object"
-TAG_ONLY = "tag"
-CHANNELS = (FUSED, OBJECT_ONLY, TAG_ONLY)
+from .recommend import CHANNELS, FUSED, Scorer
+from .similarity import DIFFUSION, KINDS
 
 
 class UndefinedMetricError(ValueError):
     """Raised when a metric is requested for an empty test set."""
 
 
-def default_lambda_grid(step: float = 0.02) -> tuple[float, ...]:
-    """Grid 0.0 .. 1.0 inclusive at the given step."""
-    count = round(1.0 / step)
-    return tuple(round(i * step, 10) for i in range(count + 1))
+def lambda_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
+    """Grid lo .. hi inclusive at the given step, each point rounded to 10 places."""
+    if not (step > 0.0 and math.isfinite((hi - lo) / step)):
+        raise ValueError(f"lambda grid needs finite bounds and a step > 0, got {step}")
+    count = round((hi - lo) / step)
+    return tuple(round(lo + i * step, 10) for i in range(count + 1))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     similarity_kind: str = DIFFUSION
-    lambda_grid: tuple[float, ...] = field(default_factory=default_lambda_grid)
+    lambda_grid: tuple[float, ...] = field(
+        default_factory=functools.partial(lambda_grid, 0.0, 1.0, 0.02)
+    )
     runs: int = 5
     train_fraction: float = 0.9
     list_lengths: tuple[int, ...] = (10, 20)
     base_seed: int = 0
-    rating_threshold: float = 0
     channel: str = FUSED  # "fused" sweeps lambda; "object"/"tag" use one graph
 
     def __post_init__(self) -> None:
@@ -87,59 +88,6 @@ class MetricsReport:
     optima: dict[str, tuple[float, float]]
 
 
-class _SplitEvaluator:
-    """Per-split engine: caches the transposed adjacency and per-user channel
-    score vectors so a lambda sweep pays only a linear combination per cell."""
-
-    def __init__(self, training: TripartiteDataset, similarity_kind: str):
-        self.training = training
-        self.kind = similarity_kind
-        self.n_objects = training.user_object.right_count
-        self._scatter = training.user_object.matrix.T.tocsr()
-
-    def channel_scores(self, v: int) -> tuple[np.ndarray, np.ndarray]:
-        """Dense object-score vectors from each channel, self excluded."""
-        s_obj = similarity_vector(self.training.user_object, v, self.kind)
-        s_obj[v] = 0.0
-        s_tag = similarity_vector(self.training.user_tag, v, self.kind)
-        s_tag[v] = 0.0
-        return self._scatter @ s_obj, self._scatter @ s_tag
-
-    @staticmethod
-    def combine(p_obj: np.ndarray, p_tag: np.ndarray, lam: float, channel: str) -> np.ndarray:
-        if channel == OBJECT_ONLY:
-            return p_obj
-        if channel == TAG_ONLY:
-            return p_tag
-        return lam * p_obj + (1.0 - lam) * p_tag
-
-    def pair_stats(
-        self,
-        p: np.ndarray,
-        collected: np.ndarray,
-        test_objects: list[int],
-        list_lengths: tuple[int, ...],
-    ) -> tuple[list[float], dict[int, int]]:
-        """Relative midranks of the test objects and top-L hit counts."""
-        n_unc = self.n_objects - len(collected)
-        masked = p.copy()
-        masked[collected] = np.nan  # collected objects never compete
-        ranks: list[float] = []
-        hits = {L: 0 for L in list_lengths}
-        for alpha in test_objects:
-            pa = p[alpha]
-            greater = int(np.count_nonzero(masked > pa))
-            equal = int(np.count_nonzero(masked == pa))
-            ranks.append((greater + (equal + 1) / 2.0) / n_unc)
-            if pa > 0.0:
-                # position under the deterministic ascending-index tie-break
-                position = greater + int(np.count_nonzero(masked[:alpha] == pa)) + 1
-                for L in list_lengths:
-                    if position <= L:
-                        hits[L] += 1
-        return ranks, hits
-
-
 def _test_pairs_by_user(evaluation_split: EvaluationSplit) -> dict[int, list[int]]:
     by_user: dict[int, list[int]] = {}
     for u, alpha in sorted(evaluation_split.test_edges):
@@ -147,120 +95,74 @@ def _test_pairs_by_user(evaluation_split: EvaluationSplit) -> dict[int, list[int
     return by_user
 
 
-def rank_of_test_pairs(
-    training: TripartiteDataset,
+def evaluate_split(
     evaluation_split: EvaluationSplit,
-    similarity_kind: str,
-    lam: float,
+    kind: str,
+    lambda_grid: Sequence[float],
+    list_lengths: Sequence[int],
     channel: str = FUSED,
-) -> list[tuple[tuple[int, int], float]]:
-    """Relative rank of every held-out pair under the fused similarity."""
-    engine = _SplitEvaluator(training, similarity_kind)
-    out: list[tuple[tuple[int, int], float]] = []
-    for v, test_objects in _test_pairs_by_user(evaluation_split).items():
-        p_obj, p_tag = engine.channel_scores(v)
-        p = engine.combine(p_obj, p_tag, lam, channel)
-        collected = training.user_object.left_neighbors(v)
-        ranks, _ = engine.pair_stats(p, collected, test_objects, ())
-        out.extend(((v, alpha), r) for alpha, r in zip(test_objects, ranks))
-    return out
+) -> dict[float, CellMetrics]:
+    """Ranking score, Recall@L and Precision@L of one split at every lambda.
 
-
-def ranking_score(ranks: list[float]) -> float:
-    """Mean relative rank over all test pairs."""
-    if not ranks:
-        raise UndefinedMetricError("ranking score is undefined for an empty test set")
-    return float(np.mean(ranks))
-
-
-def recall_precision_at(
-    training: TripartiteDataset,
-    evaluation_split: EvaluationSplit,
-    similarity_kind: str,
-    lam: float,
-    L: int,
-    channel: str = FUSED,
-) -> tuple[float, float]:
-    """Recall@L and Precision@L for one split and one lambda."""
-    if evaluation_split.test_count == 0:
-        raise UndefinedMetricError("recall/precision undefined for an empty test set")
-    if L < 1:
-        raise ValueError(f"L must be >= 1, got {L}")
-    engine = _SplitEvaluator(training, similarity_kind)
-    total_hits = 0
-    for v, test_objects in _test_pairs_by_user(evaluation_split).items():
-        p_obj, p_tag = engine.channel_scores(v)
-        p = engine.combine(p_obj, p_tag, lam, channel)
-        collected = training.user_object.left_neighbors(v)
-        _, hits = engine.pair_stats(p, collected, test_objects, (L,))
-        total_hits += hits[L]
-    m = training.user_object.left_count
-    return total_hits / evaluation_split.test_count, total_hits / (m * L)
-
-
-def _evaluate_run(
-    dataset: TripartiteDataset, config: ExperimentConfig, run: int
-) -> dict[float, CellMetrics | str]:
-    evaluation_split = split(dataset, config.train_fraction, config.base_seed + run)
+    Raises UndefinedMetricError when the split has no test pair.
+    """
     n_p = evaluation_split.test_count
     if n_p == 0:
-        return {lam: "empty test set" for lam in config.lambda_grid}
+        raise UndefinedMetricError("metrics are undefined for an empty test set")
 
     training = evaluation_split.training
     m = training.user_object.left_count
-    engine = _SplitEvaluator(training, config.similarity_kind)
-    rank_sums = {lam: 0.0 for lam in config.lambda_grid}
-    hit_sums = {lam: {L: 0 for L in config.list_lengths} for lam in config.lambda_grid}
+    scorer = Scorer(training, kind)
+    rank_sums = {lam: 0.0 for lam in lambda_grid}
+    hit_sums = {lam: {L: 0 for L in list_lengths} for lam in lambda_grid}
 
     for v, test_objects in _test_pairs_by_user(evaluation_split).items():
-        p_obj, p_tag = engine.channel_scores(v)
-        collected = training.user_object.left_neighbors(v)
-        for lam in config.lambda_grid:
-            p = engine.combine(p_obj, p_tag, lam, config.channel)
-            ranks, hits = engine.pair_stats(p, collected, test_objects, config.list_lengths)
+        p_obj, p_tag = scorer.channel_scores(v)
+        for lam in lambda_grid:
+            p = scorer.combine(p_obj, p_tag, lam, channel)
+            ranks, hits = scorer.pair_stats(p, v, test_objects, list_lengths)
             rank_sums[lam] += sum(ranks)
-            for L in config.list_lengths:
+            for L in list_lengths:
                 hit_sums[lam][L] += hits[L]
 
-    cells: dict[float, CellMetrics | str] = {}
-    for lam in config.lambda_grid:
-        hits = hit_sums[lam]
-        cells[lam] = CellMetrics(
+    return {
+        lam: CellMetrics(
             rank_score=rank_sums[lam] / n_p,
-            recall={L: hits[L] / n_p for L in config.list_lengths},
-            precision={L: hits[L] / (m * L) for L in config.list_lengths},
-            hits=dict(hits),
+            recall={L: hit_sums[lam][L] / n_p for L in list_lengths},
+            precision={L: hit_sums[lam][L] / (m * L) for L in list_lengths},
+            hits=dict(hit_sums[lam]),
             n_p=n_p,
         )
-    return cells
+        for lam in lambda_grid
+    }
 
 
-def run_experiment(
-    dataset: TripartiteDataset, config: ExperimentConfig, threads: int = 1
-) -> MetricsReport:
+def run_experiment(dataset: TripartiteDataset, config: ExperimentConfig) -> MetricsReport:
     """Full protocol: seeded splits, lambda sweep, per-run metrics, means, optima.
 
-    Deterministic given the config; runs may be evaluated in parallel.
+    Deterministic given the config.
     """
     if dataset.is_empty:
         raise ValueError("dataset is empty")
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            run_cells = list(
-                pool.map(lambda r: _evaluate_run(dataset, config, r), range(config.runs))
-            )
-    else:
-        run_cells = [_evaluate_run(dataset, config, r) for r in range(config.runs)]
-
     per_cell: dict[tuple[float, int], CellMetrics] = {}
     cell_errors: dict[tuple[float, int], str] = {}
-    for run, cells in enumerate(run_cells):
+    for run in range(config.runs):
+        evaluation_split = split(dataset, config.train_fraction, config.base_seed + run)
+        try:
+            cells = evaluate_split(
+                evaluation_split,
+                config.similarity_kind,
+                config.lambda_grid,
+                config.list_lengths,
+                config.channel,
+            )
+        except UndefinedMetricError:
+            for lam in config.lambda_grid:
+                cell_errors[(lam, run)] = "empty test set"
+            continue
         for lam, cell in cells.items():
-            if isinstance(cell, str):
-                cell_errors[(lam, run)] = cell
-            else:
-                per_cell[(lam, run)] = cell
+            per_cell[(lam, run)] = cell
 
     means: dict[float, dict[str, float]] = {}
     for lam in config.lambda_grid:

@@ -10,14 +10,11 @@ Three families, all computed per target user (never as a full m x m matrix):
 * cosine: overlap / sqrt(k(u) * k(v)) on the binary neighbor sets.
 * jaccard: overlap / union size.
 
-Rows from the user-object and user-tag graphs are fused linearly with a
-weight lam in [0, 1] (lam = 1 keeps only the object channel).
+Each kernel returns a dense vector over all users; tridiff.recommend turns
+the vectors of the two graphs into object scores.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,39 +24,6 @@ DIFFUSION = "diffusion"
 COSINE = "cosine"
 JACCARD = "jaccard"
 KINDS = (DIFFUSION, COSINE, JACCARD)
-
-# kind strings carried by rows: "<family>-object" / "<family>-tag" / "fused"
-
-
-@dataclass(frozen=True)
-class ResourceVector:
-    """First diffusion step: share of the unit resource on each right node."""
-
-    target: int
-    amounts: dict[int, float]
-
-
-@dataclass(frozen=True)
-class SimilarityRow:
-    """Sparse similarities of all users toward one target user.
-
-    Absent entries are exact zeros; stored scores are strictly positive.
-    The self entry (u == target) is kept; consumers decide whether to use it.
-    """
-
-    target: int
-    scores: dict[int, float]
-    kind: str
-    lam: float | None = None
-
-
-def spread(graph: BipartiteGraph, v: int) -> ResourceVector:
-    """Distribute a unit of resource from v equally over its neighbors."""
-    neigh = graph.left_neighbors(v)
-    if len(neigh) == 0:
-        return ResourceVector(target=v, amounts={})
-    share = 1.0 / len(neigh)
-    return ResourceVector(target=v, amounts={int(a): share for a in neigh})
 
 
 def diffusion_vector(graph: BipartiteGraph, v: int) -> np.ndarray:
@@ -116,43 +80,3 @@ def similarity_vector(graph: BipartiteGraph, v: int, kind: str) -> np.ndarray:
     if kind == JACCARD:
         return jaccard_vector(graph, v)
     raise ValueError(f"unknown similarity kind: {kind!r}")
-
-
-def _to_row(vec: np.ndarray, v: int, kind: str) -> SimilarityRow:
-    nz = np.nonzero(vec)[0]
-    return SimilarityRow(
-        target=v, scores={int(u): float(vec[u]) for u in nz}, kind=kind
-    )
-
-
-def diffusion_row(graph: BipartiteGraph, v: int, channel: str = "object") -> SimilarityRow:
-    return _to_row(diffusion_vector(graph, v), v, f"{DIFFUSION}-{channel}")
-
-
-def cosine_row(graph: BipartiteGraph, v: int, channel: str = "object") -> SimilarityRow:
-    return _to_row(cosine_vector(graph, v), v, f"{COSINE}-{channel}")
-
-
-def jaccard_row(graph: BipartiteGraph, v: int, channel: str = "object") -> SimilarityRow:
-    return _to_row(jaccard_vector(graph, v), v, f"{JACCARD}-{channel}")
-
-
-def fuse(object_row: SimilarityRow, tag_row: SimilarityRow, lam: float) -> SimilarityRow:
-    """Linear combination lam * object + (1 - lam) * tag, absent entries = 0."""
-    if object_row.target != tag_row.target:
-        raise ValueError(
-            f"target mismatch: {object_row.target} vs {tag_row.target}"
-        )
-    obj_family = object_row.kind.split("-")[0]
-    tag_family = tag_row.kind.split("-")[0]
-    if obj_family != tag_family:
-        raise ValueError(f"incompatible kinds: {object_row.kind} vs {tag_row.kind}")
-    if not 0.0 <= lam <= 1.0 or math.isnan(lam):
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    scores: dict[int, float] = {}
-    for u, s in object_row.scores.items():
-        scores[u] = lam * s
-    for u, s in tag_row.scores.items():
-        scores[u] = scores.get(u, 0.0) + (1.0 - lam) * s
-    scores = {u: s for u, s in scores.items() if s > 0.0}
-    return SimilarityRow(target=object_row.target, scores=scores, kind="fused", lam=lam)

@@ -18,12 +18,7 @@ import pytest
 from tridiff.cli import main as cli_main
 from tridiff.evaluation import ExperimentConfig, run_experiment
 from tridiff.ingest import core_filter, parse
-from tridiff.similarity import (
-    cosine_row,
-    diffusion_row,
-    diffusion_vector,
-    jaccard_row,
-)
+from tridiff.similarity import cosine_vector, diffusion_vector, jaccard_vector
 from tridiff.snapshot import save_dataset
 
 from conftest import (
@@ -64,12 +59,12 @@ def test_brute_force_oracle():
                 np.testing.assert_allclose(
                     diffusion_vector(g, v), S[:, v], rtol=0, atol=1e-12
                 )
-                cos = cosine_row(g, v).scores
-                jac = jaccard_row(g, v).scores
+                cos = cosine_vector(g, v)
+                jac = jaccard_vector(g, v)
                 for u in range(g.left_count):
                     inter = len(neigh[u] & neigh[v])
                     if inter == 0:
-                        assert u not in cos and u not in jac
+                        assert cos[u] == 0.0 and jac[u] == 0.0
                     else:
                         assert cos[u] == inter / math.sqrt(
                             len(neigh[u]) * len(neigh[v])
@@ -91,8 +86,8 @@ def test_detailed_balance():
 
 def test_fixture_f1_values(f1_graph):
     with criterion("fixture F1: diffusion rows and asymmetry exact"):
-        assert diffusion_row(f1_graph, 0).scores == {0: 0.5, 1: 0.25, 2: 0.25}
-        assert diffusion_row(f1_graph, 1).scores == {0: 0.5, 1: 0.5}
+        assert diffusion_vector(f1_graph, 0).tolist() == [0.5, 0.25, 0.25]
+        assert diffusion_vector(f1_graph, 1).tolist() == [0.5, 0.5, 0.0]
 
 
 def test_metric_identity_synthetic():
@@ -123,7 +118,7 @@ def test_metric_identity_synthetic():
 
 def test_ranks_example_third_of_hundred():
     with criterion("ranking example: unique third of 100 uncollected gives r = 0.03"):
-        from tridiff.evaluation import rank_of_test_pairs
+        from tridiff.evaluation import evaluate_split
         from tridiff.ingest import EvaluationSplit
         from conftest import make_dataset
 
@@ -133,8 +128,8 @@ def test_ranks_example_third_of_hundred():
         uo += [(3, 0), (3, 1)]
         ds = make_dataset(uo, [(u, 0) for u in range(4)], 4, 101, 1)
         split = EvaluationSplit(training=ds, test_edges=frozenset({(0, 3)}), seed=0)
-        ranks = rank_of_test_pairs(ds, split, "diffusion", 1.0)
-        assert ranks == [((0, 3), 0.03)]
+        cell = evaluate_split(split, "diffusion", (1.0,), ())[1.0]
+        assert cell.rank_score == 0.03
 
 
 def test_endpoint_equivalence():
@@ -171,7 +166,7 @@ def test_sweep_determinism(tmp_path):
         args = [
             "sweep", "--out", str(out), "--similarity", "diffusion",
             "--lambda-step", "0.25", "--runs", "3", "--seed", "11",
-            "--L", "10,20", "--threads", "2",
+            "--L", "10,20",
         ]
         assert cli_main(args) == 0
         first = (out / "sweep_diffusion.csv").read_bytes()
@@ -209,7 +204,6 @@ def test_qualitative_reproduction_movielens():
                     similarity_kind=kind, lambda_grid=grid, runs=5,
                     train_fraction=0.9, list_lengths=(10, 20), base_seed=1,
                 ),
-                threads=os.cpu_count() or 1,
             )
         d_lam, d_opt = reports["diffusion"].optima["rank_score"]
         c_lam, c_opt = reports["cosine"].optima["rank_score"]
@@ -246,7 +240,6 @@ def test_exact_snapshot_targets_movielens():
                 similarity_kind="diffusion", lambda_grid=grid, runs=5,
                 train_fraction=0.9, list_lengths=(10, 20), base_seed=1,
             ),
-            threads=os.cpu_count() or 1,
         )
         lam, opt = report.optima["rank_score"]
         assert abs(opt - 0.19943) <= 0.005

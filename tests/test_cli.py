@@ -89,7 +89,7 @@ class TestSweep:
         args = [
             "sweep", "--out", str(out), "--similarity", "diffusion",
             "--lambda-step", "0.5", "--runs", "2", "--seed", "3",
-            "--train-frac", "0.9", "--L", "2,3", "--threads", "1",
+            "--train-frac", "0.9", "--L", "2,3",
         ]
         for flag, value in extra.items():
             args += [flag, value]
@@ -135,7 +135,7 @@ class TestSweep:
     def test_single_lambda_flag(self, snapshot_dir):
         rc = main(
             ["sweep", "--out", str(snapshot_dir), "--lambda", "1.0",
-             "--runs", "1", "--L", "2", "--threads", "1"]
+             "--runs", "1", "--L", "2"]
         )
         assert rc == 0
         lines = (snapshot_dir / "sweep_diffusion.csv").read_text().splitlines()
@@ -145,7 +145,7 @@ class TestSweep:
     def test_multiple_kinds(self, snapshot_dir):
         rc = main(
             ["sweep", "--out", str(snapshot_dir), "--similarity", "diffusion,cosine",
-             "--lambda", "0.5", "--runs", "1", "--L", "2", "--threads", "1"]
+             "--lambda", "0.5", "--runs", "1", "--L", "2"]
         )
         assert rc == 0
         assert (snapshot_dir / "sweep_cosine.csv").is_file()
@@ -153,7 +153,7 @@ class TestSweep:
     def test_json_summary(self, snapshot_dir):
         rc = main(
             ["sweep", "--out", str(snapshot_dir), "--lambda", "0.5",
-             "--runs", "1", "--L", "2", "--format", "json", "--threads", "1"]
+             "--runs", "1", "--L", "2", "--format", "json"]
         )
         assert rc == 0
         payload = json.loads((snapshot_dir / "summary_diffusion.json").read_text())
@@ -162,10 +162,22 @@ class TestSweep:
 
     def test_invalid_config_exit_2(self, snapshot_dir, capsys):
         rc = main(
-            ["sweep", "--out", str(snapshot_dir), "--runs", "0", "--threads", "1"]
+            ["sweep", "--out", str(snapshot_dir), "--runs", "0"]
         )
         assert rc == 2
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--lambda-step", "0"), ("--lambda-step", "-0.1"), ("--lambda-step", "nan"),
+         ("--lambda-max", "inf")],
+    )
+    def test_bad_lambda_grid_exit_2(self, snapshot_dir, capsys, flag, value):
+        rc = main(["sweep", "--out", str(snapshot_dir), "--runs", "1", flag, value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err
+        assert "Traceback" not in err
 
     def test_missing_snapshot(self, tmp_path, capsys):
         rc = main(["sweep", "--out", str(tmp_path / "void")])
@@ -193,6 +205,24 @@ class TestRecommend:
             obj, score = line.split("\t")
             assert obj.startswith("10")
             assert float(score) > 0
+
+    @pytest.mark.parametrize("lam", ["-0.1", "1.1", "nan"])
+    def test_lambda_out_of_range_exit_2(self, snapshot_dir, capsys, lam):
+        rc = main(
+            ["recommend", "--out", str(snapshot_dir), "--user", "1", f"--lambda={lam}"]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error:")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("L", ["0", "-3"])
+    def test_list_length_below_one_exit_2(self, snapshot_dir, capsys, L):
+        rc = main(["recommend", "--out", str(snapshot_dir), "--user", "1", f"--L={L}"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error:")
+        assert captured.out == ""
 
     def test_unknown_user(self, snapshot_dir, capsys):
         rc = main(["recommend", "--out", str(snapshot_dir), "--user", "ghost"])

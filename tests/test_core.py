@@ -7,8 +7,6 @@ from tridiff.core import (
     EntityIndexMap,
     GraphConstructionError,
     build_graph,
-    degree_user_object,
-    degree_user_tag,
 )
 
 from conftest import F1_EDGES, make_dataset
@@ -112,16 +110,16 @@ class TestGraphInvariants:
 
 class TestTripartiteDataset:
     def test_degree_accessors(self, f1_dataset):
-        assert degree_user_object(f1_dataset, 0) == 2
-        assert degree_user_tag(f1_dataset, 0) == 1
+        assert f1_dataset.user_object.left_degree(0) == 2
+        assert f1_dataset.user_tag.left_degree(0) == 1
 
     def test_zero_degree_user(self):
         ds = make_dataset([(1, 0)], [(0, 0), (1, 0)], 2, 1, 1)
-        assert degree_user_object(ds, 0) == 0
+        assert ds.user_object.left_degree(0) == 0
 
     def test_degree_out_of_range(self, f1_dataset):
         with pytest.raises(IndexError):
-            degree_user_object(f1_dataset, 3)
+            f1_dataset.user_object.left_degree(3)
 
     def test_star_user_degree(self):
         # one user linked to every object and every tag
@@ -129,8 +127,8 @@ class TestTripartiteDataset:
         ds = make_dataset(
             [(0, x) for x in range(n)], [(0, t) for t in range(r)], 1, n, r
         )
-        assert degree_user_object(ds, 0) == n
-        assert degree_user_tag(ds, 0) == r
+        assert ds.user_object.left_degree(0) == n
+        assert ds.user_tag.left_degree(0) == r
 
     def test_mismatched_user_counts_rejected(self):
         with pytest.raises(ValueError):

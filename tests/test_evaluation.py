@@ -6,50 +6,50 @@ import pytest
 from tridiff.evaluation import (
     ExperimentConfig,
     UndefinedMetricError,
-    _SplitEvaluator,
-    default_lambda_grid,
-    rank_of_test_pairs,
-    ranking_score,
-    recall_precision_at,
+    evaluate_split,
+    lambda_grid,
     run_experiment,
 )
 from tridiff.ingest import EvaluationSplit
+from tridiff.recommend import Scorer
 
 from conftest import make_dataset, random_tripartite
 
 
-def rank_third_setup():
-    """Target u0 with 100 uncollected objects; the held-out object is scored
-    uniquely third (behind two strictly better objects)."""
+def rank_third_setup(n=101, test_edges=frozenset({(0, 3)})):
+    """Target u0 with n - 1 uncollected objects; objects 1, 2 and 3 are
+    scored uniquely first, second and third, and 3 is held out."""
     uo = [(0, 0)]
     uo += [(1, 0), (1, 1), (1, 2), (1, 3)]
     uo += [(2, 0), (2, 1), (2, 2)]
     uo += [(3, 0), (3, 1)]
-    ds = make_dataset(uo, [(u, 0) for u in range(4)], 4, 101, 1)
-    split = EvaluationSplit(training=ds, test_edges=frozenset({(0, 3)}), seed=0)
+    ds = make_dataset(uo, [(u, 0) for u in range(4)], 4, n, 1)
+    split = EvaluationSplit(training=ds, test_edges=test_edges, seed=0)
     return ds, split
+
+
+def object_channel_cell(split, L=()):
+    """Metrics of the split at lambda = 1 (object channel only)."""
+    return evaluate_split(split, "diffusion", (1.0,), L)[1.0]
 
 
 class TestRankOfTestPairs:
     def test_third_of_hundred(self):
-        ds, split = rank_third_setup()
-        ranks = rank_of_test_pairs(ds, split, "diffusion", 1.0)
-        assert ranks == [((0, 3), 0.03)]
+        _, split = rank_third_setup()
+        assert object_channel_cell(split).rank_score == 0.03
 
     def test_unique_top_of_ten(self):
         uo = [(0, 0), (1, 0), (1, 1)]
         ds = make_dataset(uo, [(0, 0), (1, 0)], 2, 11, 1)
         split = EvaluationSplit(training=ds, test_edges=frozenset({(0, 1)}), seed=0)
-        ranks = rank_of_test_pairs(ds, split, "diffusion", 1.0)
-        assert ranks == [((0, 1), 0.1)]
+        assert object_channel_cell(split).rank_score == 0.1
 
     def test_zero_score_block_midrank(self):
         # target has no training edges at all: every uncollected object ties
         # at score zero and gets the midrank 5.5 of 10
         ds = make_dataset([(1, 0)], [(1, 0)], 2, 10, 1)
         split = EvaluationSplit(training=ds, test_edges=frozenset({(0, 4)}), seed=0)
-        ranks = rank_of_test_pairs(ds, split, "diffusion", 1.0)
-        assert ranks == [((0, 4), 0.55)]
+        assert object_channel_cell(split).rank_score == 0.55
 
     def test_midrank_equals_enumeration(self):
         # exhaustive oracle: mean rank of a tie-block member over all
@@ -65,63 +65,68 @@ class TestRankOfTestPairs:
         expected_midrank = sum(positions) / len(positions)
 
         ds = make_dataset([(1, 0)], [(1, 0)], 2, len(scores), 1)
-        engine = _SplitEvaluator(ds, "diffusion")
+        engine = Scorer(ds, "diffusion")
         p = np.array(scores)
-        ranks, _ = engine.pair_stats(p, np.array([], dtype=int), [target_idx], ())
+        ranks, _ = engine.pair_stats(p, 0, [target_idx], ())
         assert ranks[0] == pytest.approx(expected_midrank / len(scores), abs=1e-15)
 
     def test_monotone_in_score(self):
         # raising the test object's score above one more competitor lowers r
         ds = make_dataset([(1, 0)], [(1, 0)], 2, 5, 1)
-        engine = _SplitEvaluator(ds, "diffusion")
-        empty = np.array([], dtype=int)
-        lo, _ = engine.pair_stats(np.array([0.9, 0.5, 0.3, 0.0, 0.0]), empty, [2], ())
-        hi, _ = engine.pair_stats(np.array([0.9, 0.5, 0.7, 0.0, 0.0]), empty, [2], ())
+        engine = Scorer(ds, "diffusion")
+        lo, _ = engine.pair_stats(np.array([0.9, 0.5, 0.3, 0.0, 0.0]), 0, [2], ())
+        hi, _ = engine.pair_stats(np.array([0.9, 0.5, 0.7, 0.0, 0.0]), 0, [2], ())
         assert hi[0] < lo[0]
 
 
 class TestRankingScore:
     def test_single_pair(self):
-        assert ranking_score([0.03]) == 0.03
+        _, split = rank_third_setup()
+        assert object_channel_cell(split).rank_score == 0.03
 
     def test_mean(self):
-        assert ranking_score([0.1, 0.3]) == pytest.approx(0.2, abs=1e-15)
+        # ranks 0.1 (object 1) and 0.3 (object 3) among 10 uncollected
+        _, split = rank_third_setup(n=11, test_edges=frozenset({(0, 1), (0, 3)}))
+        assert object_channel_cell(split).rank_score == pytest.approx(0.2, abs=1e-15)
 
     def test_empty_raises(self):
+        _, split = rank_third_setup(test_edges=frozenset())
         with pytest.raises(UndefinedMetricError):
-            ranking_score([])
+            object_channel_cell(split)
 
 
 class TestRecallPrecision:
     def test_perfect_recall(self):
-        ds, split = rank_third_setup()
-        r, p = recall_precision_at(ds, split, "diffusion", 1.0, L=10)
+        _, split = rank_third_setup()
+        cell = object_channel_cell(split, L=(10,))
+        r, p = cell.recall[10], cell.precision[10]
         assert r == 1.0
         assert p == 1.0 / (4 * 10)
 
     def test_no_hits(self):
         ds, _ = rank_third_setup()
         split = EvaluationSplit(training=ds, test_edges=frozenset({(0, 50)}), seed=0)
-        r, p = recall_precision_at(ds, split, "diffusion", 1.0, L=10)
+        cell = object_channel_cell(split, L=(10,))
+        r, p = cell.recall[10], cell.precision[10]
         assert r == 0.0 and p == 0.0
 
     def test_zero_score_object_never_hit(self):
         # the held-out object ties at zero: even L > n must not count it
         ds = make_dataset([(1, 0)], [(1, 0)], 2, 10, 1)
         split = EvaluationSplit(training=ds, test_edges=frozenset({(0, 4)}), seed=0)
-        r, _ = recall_precision_at(ds, split, "diffusion", 1.0, L=10)
+        r = object_channel_cell(split, L=(10,)).recall[10]
         assert r == 0.0
 
     def test_empty_test_set_raises(self):
         ds, _ = rank_third_setup()
         split = EvaluationSplit(training=ds, test_edges=frozenset(), seed=0)
         with pytest.raises(UndefinedMetricError):
-            recall_precision_at(ds, split, "diffusion", 1.0, L=10)
+            object_channel_cell(split, L=(10,))
 
 
 class TestConfig:
     def test_default_grid(self):
-        grid = default_lambda_grid()
+        grid = lambda_grid(0.0, 1.0, 0.02)
         assert len(grid) == 51
         assert grid[0] == 0.0 and grid[-1] == 1.0
         assert grid[37] == pytest.approx(0.74, abs=1e-12)
@@ -198,11 +203,6 @@ class TestRunExperiment:
         assert r1.per_cell == r2.per_cell
         assert r1.means == r2.means
         assert r1.optima == r2.optima
-
-    def test_threads_match_serial(self, dataset):
-        serial = run_experiment(dataset, self.cfg(), threads=1)
-        parallel = run_experiment(dataset, self.cfg(), threads=4)
-        assert serial.per_cell == parallel.per_cell
 
     def test_endpoint_bitwise_object(self, dataset):
         fused = run_experiment(dataset, self.cfg())

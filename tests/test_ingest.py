@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tridiff.core import degree_user_object, degree_user_tag
 from tridiff.ingest import RawRecords, core_filter, parse, split
 
 
@@ -147,8 +146,8 @@ class TestCoreFilter:
         for t in range(len(ds.tags)):
             assert ds.user_tag.right_degree(t) >= 2
         for u in range(len(ds.users)):
-            assert degree_user_object(ds, u) >= 1
-            assert degree_user_tag(ds, u) >= 1
+            assert ds.user_object.left_degree(u) >= 1
+            assert ds.user_tag.left_degree(u) >= 1
         # idempotence up to index relabeling: compare by external ids
         def ext_edges(d):
             uo = {

@@ -2,65 +2,30 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tridiff.core import build_graph
-from tridiff.similarity import (
-    SimilarityRow,
-    cosine_row,
-    diffusion_row,
-    diffusion_vector,
-    fuse,
-    jaccard_row,
-    spread,
-)
+from tridiff.recommend import Scorer
+from tridiff.similarity import cosine_vector, diffusion_vector, jaccard_vector
 
 from conftest import brute_diffusion_matrix, random_graph
-from test_core import edge_lists
-
-
-class TestSpread:
-    def test_equal_split(self, f1_graph):
-        assert spread(f1_graph, 0).amounts == {0: 0.5, 1: 0.5}
-
-    def test_single_neighbor(self, f1_graph):
-        assert spread(f1_graph, 1).amounts == {0: 1.0}
-
-    def test_isolated_user(self):
-        g = build_graph([(1, 0)], 2, 1)
-        assert spread(g, 0).amounts == {}
-
-    @settings(max_examples=60)
-    @given(edge_lists())
-    def test_amounts_sum_to_one(self, spec):
-        m, n, edges = spec
-        g = build_graph(edges, m, n)
-        for v in range(m):
-            amounts = spread(g, v).amounts
-            if g.left_degree(v) >= 1:
-                assert math.isclose(sum(amounts.values()), 1.0, abs_tol=1e-12)
-                assert all(a == 1.0 / g.left_degree(v) for a in amounts.values())
-            else:
-                assert amounts == {}
 
 
 class TestDiffusionRow:
     def test_f1_target_u1(self, f1_graph):
-        assert diffusion_row(f1_graph, 0).scores == {0: 0.5, 1: 0.25, 2: 0.25}
+        assert diffusion_vector(f1_graph, 0).tolist() == [0.5, 0.25, 0.25]
 
     def test_f1_asymmetry(self, f1_graph):
         # s_{u1,u2} = 0.5 while s_{u2,u1} = 0.25
-        assert diffusion_row(f1_graph, 1).scores == {0: 0.5, 1: 0.5}
+        assert diffusion_vector(f1_graph, 1).tolist() == [0.5, 0.5, 0.0]
 
     def test_isolated_target_empty_row(self):
         g = build_graph([(1, 0)], 2, 1)
-        assert diffusion_row(g, 0).scores == {}
+        assert not diffusion_vector(g, 0).any()
 
     def test_degree_one_identity(self):
         # v's only neighbor has degree 1, so all mass returns to v
         g = build_graph([(0, 0), (1, 1), (2, 1)], 3, 2)
-        assert diffusion_row(g, 0).scores == {0: 1.0}
+        assert diffusion_vector(g, 0).tolist() == [1.0, 0.0, 0.0]
 
     def test_conservation_random(self):
         rng = np.random.default_rng(7)
@@ -68,7 +33,7 @@ class TestDiffusionRow:
             g = random_graph(rng)
             for v in range(g.left_count):
                 if g.left_degree(v) >= 1:
-                    total = sum(diffusion_row(g, v).scores.values())
+                    total = sum(diffusion_vector(g, v))
                     assert abs(total - 1.0) < 1e-12
 
     def test_matches_brute_force(self):
@@ -93,33 +58,33 @@ class TestDiffusionRow:
 
     def test_only_coneighbors_present(self, f1_graph):
         g = build_graph([(0, 0), (1, 0), (2, 1)], 3, 2)
-        assert 2 not in diffusion_row(g, 0).scores
+        assert diffusion_vector(g, 0)[2] == 0.0
 
 
 class TestCosineJaccard:
     def test_cosine_f1(self, f1_graph):
-        row = cosine_row(f1_graph, 0)
-        assert row.scores[0] == pytest.approx(1.0, abs=1e-15)
-        assert row.scores[1] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
-        assert row.scores[2] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+        row = cosine_vector(f1_graph, 0)
+        assert row[0] == pytest.approx(1.0, abs=1e-15)
+        assert row[1] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+        assert row[2] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
 
     def test_jaccard_f1(self, f1_graph):
-        assert jaccard_row(f1_graph, 0).scores == {0: 1.0, 1: 0.5, 2: 0.5}
+        assert jaccard_vector(f1_graph, 0).tolist() == [1.0, 0.5, 0.5]
 
     def test_identical_neighbor_sets(self):
         g = build_graph([(0, 0), (0, 1), (1, 0), (1, 1)], 2, 2)
-        assert cosine_row(g, 0).scores[1] == pytest.approx(1.0, abs=1e-15)
-        assert jaccard_row(g, 0).scores[1] == 1.0
+        assert cosine_vector(g, 0)[1] == pytest.approx(1.0, abs=1e-15)
+        assert jaccard_vector(g, 0)[1] == 1.0
 
     def test_disjoint_sets_absent(self):
         g = build_graph([(0, 0), (1, 1)], 2, 2)
-        assert 1 not in cosine_row(g, 0).scores
-        assert 1 not in jaccard_row(g, 0).scores
+        assert cosine_vector(g, 0)[1] == 0.0
+        assert jaccard_vector(g, 0)[1] == 0.0
 
     def test_isolated_target(self):
         g = build_graph([(1, 0)], 2, 1)
-        assert cosine_row(g, 0).scores == {}
-        assert jaccard_row(g, 0).scores == {}
+        assert not cosine_vector(g, 0).any()
+        assert not jaccard_vector(g, 0).any()
 
     def test_matches_naive_set_arithmetic(self):
         rng = np.random.default_rng(41)
@@ -127,12 +92,12 @@ class TestCosineJaccard:
             g = random_graph(rng)
             neigh = [set(g.left_neighbors(u).tolist()) for u in range(g.left_count)]
             for v in range(g.left_count):
-                cos = cosine_row(g, v).scores
-                jac = jaccard_row(g, v).scores
+                cos = cosine_vector(g, v)
+                jac = jaccard_vector(g, v)
                 for u in range(g.left_count):
                     inter = len(neigh[u] & neigh[v])
                     if inter == 0:
-                        assert u not in cos and u not in jac
+                        assert cos[u] == 0.0 and jac[u] == 0.0
                     else:
                         assert cos[u] == inter / math.sqrt(len(neigh[u]) * len(neigh[v]))
                         assert jac[u] == inter / len(neigh[u] | neigh[v])
@@ -141,66 +106,45 @@ class TestCosineJaccard:
         rng = np.random.default_rng(53)
         for _ in range(10):
             g = random_graph(rng, 20, 20)
-            rows_c = [cosine_row(g, v).scores for v in range(g.left_count)]
-            rows_j = [jaccard_row(g, v).scores for v in range(g.left_count)]
+            rows_c = [cosine_vector(g, v) for v in range(g.left_count)]
+            rows_j = [jaccard_vector(g, v) for v in range(g.left_count)]
             for v in range(g.left_count):
-                for u, s in rows_c[v].items():
-                    assert rows_c[u][v] == s
-                for u, s in rows_j[v].items():
-                    assert rows_j[u][v] == s
+                for u in np.flatnonzero(rows_c[v]):
+                    assert rows_c[u][v] == rows_c[v][u]
+                for u in np.flatnonzero(rows_j[v]):
+                    assert rows_j[u][v] == rows_j[v][u]
 
 
 class TestFuse:
-    def obj_row(self, scores):
-        return SimilarityRow(target=0, scores=scores, kind="diffusion-object")
+    """Channel fusion, Scorer.combine, on dense per-user vectors."""
 
-    def tag_row(self, scores):
-        return SimilarityRow(target=0, scores=scores, kind="diffusion-tag")
+    combine = staticmethod(Scorer.combine)
 
     def test_endpoint_object_only(self):
-        obj = self.obj_row({1: 0.25, 2: 0.75})
-        tag = self.tag_row({1: 0.5, 3: 0.5})
-        assert fuse(obj, tag, 1.0).scores == obj.scores
+        obj = np.array([0.0, 0.25, 0.75, 0.0])
+        tag = np.array([0.0, 0.5, 0.0, 0.5])
+        assert np.array_equal(self.combine(obj, tag, 1.0), obj)
 
     def test_endpoint_tag_only(self):
-        obj = self.obj_row({1: 0.25, 2: 0.75})
-        tag = self.tag_row({1: 0.5, 3: 0.5})
-        assert fuse(obj, tag, 0.0).scores == tag.scores
+        obj = np.array([0.0, 0.25, 0.75, 0.0])
+        tag = np.array([0.0, 0.5, 0.0, 0.5])
+        assert np.array_equal(self.combine(obj, tag, 0.0), tag)
 
     def test_arithmetic(self):
-        fused = fuse(self.obj_row({1: 0.25}), self.tag_row({1: 0.5, 2: 0.1}), 0.74)
-        assert fused.scores[1] == pytest.approx(0.315, abs=1e-12)
-        assert fused.scores[2] == pytest.approx(0.026, abs=1e-12)
-        assert fused.kind == "fused"
-        assert fused.lam == 0.74
+        fused = self.combine(np.array([0.0, 0.25, 0.0]), np.array([0.0, 0.5, 0.1]), 0.74)
+        assert fused[1] == pytest.approx(0.315, abs=1e-12)
+        assert fused[2] == pytest.approx(0.026, abs=1e-12)
 
     def test_linear_in_lambda(self):
-        obj = self.obj_row({1: 0.3, 2: 0.7})
-        tag = self.tag_row({2: 0.2, 3: 0.8})
+        obj = np.array([0.0, 0.3, 0.7, 0.0])
+        tag = np.array([0.0, 0.0, 0.2, 0.8])
         for l1, l2 in [(0.0, 1.0), (0.1, 0.7), (0.38, 0.92)]:
-            a = fuse(obj, tag, l1).scores
-            b = fuse(obj, tag, l2).scores
-            mid = fuse(obj, tag, (l1 + l2) / 2).scores
-            for u in set(a) | set(b) | set(mid):
-                avg = (a.get(u, 0.0) + b.get(u, 0.0)) / 2
-                assert abs(mid.get(u, 0.0) - avg) < 1e-12
-
-    def test_target_mismatch(self):
-        tag = SimilarityRow(target=1, scores={0: 1.0}, kind="diffusion-tag")
-        with pytest.raises(ValueError):
-            fuse(self.obj_row({1: 1.0}), tag, 0.5)
-
-    def test_kind_mismatch(self):
-        tag = SimilarityRow(target=0, scores={0: 1.0}, kind="cosine-tag")
-        with pytest.raises(ValueError):
-            fuse(self.obj_row({1: 1.0}), tag, 0.5)
-
-    @pytest.mark.parametrize("lam", [-0.1, 1.1, float("nan")])
-    def test_lambda_out_of_range(self, lam):
-        with pytest.raises(ValueError):
-            fuse(self.obj_row({1: 1.0}), self.tag_row({1: 1.0}), lam)
+            a = self.combine(obj, tag, l1)
+            b = self.combine(obj, tag, l2)
+            mid = self.combine(obj, tag, (l1 + l2) / 2)
+            assert np.abs(mid - (a + b) / 2).max() < 1e-12
 
     def test_no_zero_entries_materialized(self):
-        fused = fuse(self.obj_row({1: 0.5}), self.tag_row({2: 0.5}), 1.0)
-        assert 2 not in fused.scores
-        assert all(s > 0 for s in fused.scores.values())
+        fused = self.combine(np.array([0.0, 0.5, 0.0]), np.array([0.0, 0.0, 0.5]), 1.0)
+        assert fused[2] == 0.0
+        assert (fused >= 0.0).all()

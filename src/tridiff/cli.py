@@ -1,23 +1,18 @@
 """Command-line front door: ingest data, run lambda sweeps, print recommendations.
 
-Diagnostics go to stderr, data to stdout and files. Every flag can be
-overridden by an environment variable with the TRIDIFF_ prefix (flag
---lambda-step becomes TRIDIFF_LAMBDA_STEP); the environment wins.
+Diagnostics go to stderr, data to stdout and files.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 from . import evaluation, ingest, similarity, snapshot
 from .evaluation import ExperimentConfig, MetricsReport
 from .recommend import Scorer
-
-ENV_PREFIX = "TRIDIFF_"
 
 
 def _float_fmt(x: float) -> str:
@@ -76,37 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--similarity", default="diffusion", choices=similarity.KINDS)
 
     return parser
-
-
-def apply_env_overrides(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Override parsed flag values from TRIDIFF_* environment variables."""
-    converters = {
-        "rating_threshold": float,
-        "similarity": _parse_kinds,
-        "lambda_min": float,
-        "lambda_max": float,
-        "lambda_step": float,
-        "lambda_": float,
-        "runs": int,
-        "seed": int,
-        "train_frac": float,
-        "L": _parse_int_list,
-    }
-    for dest in vars(args):
-        if dest == "command":
-            continue
-        env_name = ENV_PREFIX + dest.rstrip("_").upper()
-        raw = os.environ.get(env_name)
-        if raw is None:
-            continue
-        conv = converters.get(dest, str)
-        try:
-            value = conv(raw)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            parser.error(f"{env_name}: {exc}")
-        if dest == "similarity" and args.command == "recommend":
-            value = raw.strip()
-        setattr(args, dest, value)
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -251,9 +215,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    apply_env_overrides(args, parser)
+    args = build_parser().parse_args(argv)
     handlers = {"ingest": cmd_ingest, "sweep": cmd_sweep, "recommend": cmd_recommend}
     return handlers[args.command](args)
 

@@ -9,6 +9,7 @@ deterministic iteration order and linear merges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -16,7 +17,8 @@ from scipy import sparse
 
 
 class GraphConstructionError(ValueError):
-    """Raised when edge indices are outside the declared node ranges."""
+    """Raised when an edge is not a (left, right) pair or its indices are
+    outside the declared node ranges."""
 
 
 @dataclass(frozen=True)
@@ -113,34 +115,40 @@ class BipartiteGraph:
         return self._csc.indices[np.arange(total) + shifts]
 
     def edges(self) -> list[tuple[int, int]]:
-        """All edges as (left, right) pairs, sorted lexicographically."""
+        """All edges as (left, right) pairs, sorted lexicographically (the
+        row-major order of the canonical CSR)."""
         coo = self._csr.tocoo()
-        return sorted(zip(coo.row.tolist(), coo.col.tolist()))
+        return list(zip(coo.row.tolist(), coo.col.tolist()))
 
 
 def build_graph(
-    edges: Sequence[tuple[int, int]], left_count: int, right_count: int
+    edges: Sequence[Sequence[int]] | np.ndarray, left_count: int, right_count: int
 ) -> BipartiteGraph:
-    """Build a binary bipartite graph; duplicate pairs collapse to one edge."""
-    if edges:
-        left = np.fromiter((e[0] for e in edges), dtype=np.int64, count=len(edges))
-        right = np.fromiter((e[1] for e in edges), dtype=np.int64, count=len(edges))
-        if left.size and (left.min() < 0 or left.max() >= left_count):
-            raise GraphConstructionError(
-                f"left index out of range [0, {left_count})"
-            )
-        if right.size and (right.min() < 0 or right.max() >= right_count):
-            raise GraphConstructionError(
-                f"right index out of range [0, {right_count})"
-            )
-        data = np.ones(len(edges), dtype=np.float64)
-        mat = sparse.csr_matrix(
-            (data, (left, right)), shape=(left_count, right_count)
-        )
-        mat.sum_duplicates()
-        mat.data[:] = 1.0  # collapse duplicates to binary
-    else:
-        mat = sparse.csr_matrix((left_count, right_count), dtype=np.float64)
+    """Build a binary bipartite graph from (left, right) pairs, given as a
+    sequence of pairs or an (E, 2) integer array; duplicate pairs collapse
+    to one edge."""
+    if not isinstance(edges, np.ndarray):
+        try:
+            pairs_only = set(map(len, edges)) <= {2}
+        except TypeError:  # an entry with no length
+            pairs_only = False
+        if not pairs_only:
+            raise GraphConstructionError("every edge must be a (left, right) pair")
+        edges = np.fromiter(
+            chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges)
+        ).reshape(-1, 2)
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise GraphConstructionError(f"edges must have shape (E, 2), got {edges.shape}")
+    left, right = edges[:, 0], edges[:, 1]
+    if left.size and (left.min() < 0 or left.max() >= left_count):
+        raise GraphConstructionError(f"left index out of range [0, {left_count})")
+    if right.size and (right.min() < 0 or right.max() >= right_count):
+        raise GraphConstructionError(f"right index out of range [0, {right_count})")
+    mat = sparse.csr_matrix(
+        (np.ones(len(edges)), (left, right)), shape=(left_count, right_count)
+    )
+    mat.sum_duplicates()
+    mat.data[:] = 1.0  # collapse duplicates to binary
     return BipartiteGraph(mat)
 
 

@@ -32,11 +32,18 @@ class UndefinedMetricError(ValueError):
     """Raised when a metric is requested for an empty test set."""
 
 
+MAX_LAMBDA_POINTS = 10_001
+
+
 def lambda_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
     """Grid lo .. hi inclusive at the given step, each point rounded to 10 places."""
     if not (step > 0.0 and math.isfinite((hi - lo) / step)):
         raise ValueError(f"lambda grid needs finite bounds and a step > 0, got {step}")
     count = round((hi - lo) / step)
+    if count >= MAX_LAMBDA_POINTS:
+        raise ValueError(
+            f"lambda grid of {count + 1} points exceeds the limit of {MAX_LAMBDA_POINTS}"
+        )
     return tuple(round(lo + i * step, 10) for i in range(count + 1))
 
 

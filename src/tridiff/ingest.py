@@ -69,7 +69,7 @@ def _detect_delimiter(first_line: str) -> str:
     return "\t" if "\t" in first_line else ","
 
 
-def _iter_rows(lines: Iterable[str], stream: str, errors: list[ParseError]):
+def _iter_rows(lines: Iterable[str]):
     delim: str | None = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n").rstrip("\r")
@@ -95,7 +95,7 @@ def parse(
     """
     records = RawRecords()
 
-    for lineno, line, fields in _iter_rows(object_stream, "objects", records.errors):
+    for lineno, line, fields in _iter_rows(object_stream):
         if len(fields) < 2:
             records.errors.append(
                 ParseError("objects", lineno, line, "expected at least user and object")
@@ -119,7 +119,7 @@ def parse(
             continue
         records.object_events.append((user, obj, rating))
 
-    for lineno, line, fields in _iter_rows(tag_stream, "tags", records.errors):
+    for lineno, line, fields in _iter_rows(tag_stream):
         if len(fields) < 2:
             records.errors.append(
                 ParseError("tags", lineno, line, "expected at least user and tag")
@@ -140,70 +140,57 @@ def parse(
     return records
 
 
+def _coded(ids: list[str]) -> tuple[EntityIndexMap, np.ndarray]:
+    """Index map of ids in first-seen order, and the index of each id."""
+    index = EntityIndexMap.from_ids(ids)
+    return index, np.fromiter(map(index.index_of.__getitem__, ids), np.int64, len(ids))
+
+
+def _relabel(index: EntityIndexMap, codes: np.ndarray) -> tuple[EntityIndexMap, np.ndarray]:
+    """Index map of the entities in codes, in order of first occurrence, and
+    the lookup from old to new index (meaningful for those entities only)."""
+    present, first = np.unique(codes, return_index=True)
+    order = present[np.argsort(first)]
+    new_index = np.zeros(len(index), dtype=np.int64)
+    new_index[order] = np.arange(len(order))
+    return EntityIndexMap.from_ids(index.external_ids[i] for i in order.tolist()), new_index
+
+
 def core_filter(records: RawRecords) -> TripartiteDataset:
     """Filter to the dense core and build the tripartite dataset.
 
-    Iterates to a fixed point: drop objects/tags with < 2 distinct users,
-    then users left without at least one object and one tag. Indices are
-    assigned in first-seen event order for reproducibility.
+    Iterates to a fixed point: objects and tags keep at least two distinct
+    live users, and users stay live while they hold at least one live object
+    and one live tag. Indices follow first-seen event order: users by their
+    first object event (even one whose object is dropped), objects and tags
+    by their first event that survives.
     """
-    user_objects: dict[str, set[str]] = {}
-    user_tags: dict[str, set[str]] = {}
-    for user, obj, _rating in records.object_events:
-        user_objects.setdefault(user, set()).add(obj)
-    for user, _obj, tag in records.tag_events:
-        user_tags.setdefault(user, set()).add(tag)
-
-    users = set(user_objects) & set(user_tags)
-    changed = True
-    while changed:
-        changed = False
-        obj_users: dict[str, int] = {}
-        tag_users: dict[str, int] = {}
-        for u in users:
-            for o in user_objects[u]:
-                obj_users[o] = obj_users.get(o, 0) + 1
-            for t in user_tags[u]:
-                tag_users[t] = tag_users.get(t, 0) + 1
-        live_objects = {o for o, c in obj_users.items() if c >= 2}
-        live_tags = {t for t, c in tag_users.items() if c >= 2}
-        survivors = set()
-        for u in users:
-            objs = user_objects[u] & live_objects
-            tags = user_tags[u] & live_tags
-            if objs and tags:
-                if objs != user_objects[u] or tags != user_tags[u]:
-                    user_objects[u] = objs
-                    user_tags[u] = tags
-                    changed = True
-                survivors.add(u)
-            else:
-                changed = True
-        users = survivors
-
-    # Dense indices in first-seen order over the original event streams.
-    user_map = EntityIndexMap.from_ids(
-        u for u, _o, _r in records.object_events if u in users
+    n_obj_events = len(records.object_events)
+    users, user_codes = _coded(
+        [u for u, _o, _r in records.object_events] + [u for u, _o, _t in records.tag_events]
     )
-    object_map = EntityIndexMap.from_ids(
-        o
-        for u, o, _r in records.object_events
-        if u in users and o in user_objects[u]
-    )
-    tag_map = EntityIndexMap.from_ids(
-        t for u, _o, t in records.tag_events if u in users and t in user_tags[u]
-    )
+    obj_users, tag_users = user_codes[:n_obj_events], user_codes[n_obj_events:]
+    objects, obj_codes = _coded([o for _u, o, _r in records.object_events])
+    tags, tag_codes = _coded([t for _u, _o, t in records.tag_events])
+    A = build_graph(np.column_stack((obj_users, obj_codes)), len(users), len(objects)).matrix
+    T = build_graph(np.column_stack((tag_users, tag_codes)), len(users), len(tags)).matrix
 
-    uo_edges = [
-        (user_map.index_of[u], object_map.index_of[o])
-        for u in user_map.external_ids
-        for o in sorted(user_objects[u], key=object_map.index_of.__getitem__)
-    ]
-    ut_edges = [
-        (user_map.index_of[u], tag_map.index_of[t])
-        for u in user_map.external_ids
-        for t in sorted(user_tags[u], key=tag_map.index_of.__getitem__)
-    ]
+    live = np.ones(len(users), dtype=bool)
+    while True:
+        live_obj = A.T @ live >= 2
+        live_tag = T.T @ live >= 2
+        kept = live & (A @ live_obj > 0) & (T @ live_tag > 0)
+        if np.array_equal(kept, live):
+            break
+        live = kept
+
+    obj_kept = live[obj_users] & live_obj[obj_codes]
+    tag_kept = live[tag_users] & live_tag[tag_codes]
+    user_map, new_user = _relabel(users, obj_users[live[obj_users]])
+    object_map, new_obj = _relabel(objects, obj_codes[obj_kept])
+    tag_map, new_tag = _relabel(tags, tag_codes[tag_kept])
+    uo_edges = np.column_stack((new_user[obj_users[obj_kept]], new_obj[obj_codes[obj_kept]]))
+    ut_edges = np.column_stack((new_user[tag_users[tag_kept]], new_tag[tag_codes[tag_kept]]))
 
     dataset = TripartiteDataset(
         users=user_map,
@@ -229,12 +216,13 @@ def split(dataset: TripartiteDataset, train_fraction: float, seed: int) -> Evalu
     if dataset.is_empty:
         raise ValueError("cannot split an empty dataset")
 
-    edges = dataset.user_object.edges()
+    coo = dataset.user_object.matrix.tocoo()  # row-major, as the CSR is canonical
+    edges = np.column_stack((coo.row, coo.col))
     n_train = round(train_fraction * len(edges))
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(edges))
-    train_edges = [edges[i] for i in perm[:n_train]]
-    test_edges = frozenset(edges[i] for i in perm[n_train:])
+    train_edges = edges[perm[:n_train]]
+    test_edges = frozenset(map(tuple, edges[perm[n_train:]].tolist()))
 
     training = TripartiteDataset(
         users=dataset.users,

@@ -38,12 +38,8 @@ def load_dataset(directory: Path) -> TripartiteDataset:
         users=users,
         objects=objects,
         tags=tags,
-        user_object=build_graph(
-            [tuple(e) for e in payload["user_object"]], len(users), len(objects)
-        ),
-        user_tag=build_graph(
-            [tuple(e) for e in payload["user_tag"]], len(users), len(tags)
-        ),
+        user_object=build_graph(payload["user_object"], len(users), len(objects)),
+        user_tag=build_graph(payload["user_tag"], len(users), len(tags)),
     )
 
 

@@ -170,7 +170,7 @@ class TestSweep:
     @pytest.mark.parametrize(
         "flag, value",
         [("--lambda-step", "0"), ("--lambda-step", "-0.1"), ("--lambda-step", "nan"),
-         ("--lambda-max", "inf")],
+         ("--lambda-max", "inf"), ("--lambda-step", "1e-12")],
     )
     def test_bad_lambda_grid_exit_2(self, snapshot_dir, capsys, flag, value):
         rc = main(["sweep", "--out", str(snapshot_dir), "--runs", "1", flag, value])
@@ -184,12 +184,12 @@ class TestSweep:
         assert rc == 1
         assert "run ingest first" in capsys.readouterr().err
 
-    def test_env_override(self, snapshot_dir, monkeypatch):
+    def test_env_does_not_override_flags(self, snapshot_dir, monkeypatch):
         monkeypatch.setenv("TRIDIFF_RUNS", "1")
         monkeypatch.setenv("TRIDIFF_LAMBDA", "0.5")
         assert main(self.sweep_args(snapshot_dir)) == 0
         lines = (snapshot_dir / "sweep_diffusion.csv").read_text().splitlines()
-        assert len(lines) == 2  # one lambda, one run despite the flags
+        assert len(lines) == 1 + 3 * 2  # grid {0, 0.5, 1} x 2 runs, as flagged
 
 
 class TestRecommend:

@@ -64,6 +64,10 @@ class TestBuildGraph:
             build_graph([(0, 2)], 3, 2)
         with pytest.raises(GraphConstructionError):
             build_graph([(-1, 0)], 3, 2)
+        with pytest.raises(GraphConstructionError):
+            build_graph([(0, 0, 1)], 3, 2)
+        with pytest.raises(GraphConstructionError):
+            build_graph(np.zeros((1, 3), dtype=np.int64), 3, 2)
 
     def test_neighbor_index_errors(self):
         g = build_graph(F1_EDGES, 3, 2)

@@ -6,6 +6,71 @@ from hypothesis import strategies as st
 from tridiff.ingest import RawRecords, core_filter, parse, split
 
 
+def reference_core(uo, ut):
+    """The core by its definition, by brute force over all user subsets.
+
+    A user set U is closed when each of its users holds an object and a tag
+    that at least two users of U hold. The union of closed sets is closed,
+    so the core is the union of all of them. Users are ordered by their
+    first object event, objects and tags by their first event that survives.
+    Returns (users, objects, tags, user-object edges, user-tag edges).
+    """
+    candidates = sorted({u for u, _ in uo} | {u for u, _ in ut})
+
+    def live(events, users):
+        holders = {}
+        for u, x in events:
+            if u in users:
+                holders.setdefault(x, set()).add(u)
+        return {x for x, us in holders.items() if len(us) >= 2}
+
+    def closed(users):
+        objs, tags = live(uo, users), live(ut, users)
+        return all(
+            any(v == u and o in objs for v, o in uo)
+            and any(v == u and t in tags for v, t in ut)
+            for u in users
+        )
+
+    core = set()
+    for bits in range(1 << len(candidates)):
+        users = {u for i, u in enumerate(candidates) if bits >> i & 1}
+        if closed(users):
+            core |= users
+    objs, tags = live(uo, core), live(ut, core)
+    kept_uo = [(u, o) for u, o in uo if u in core and o in objs]
+    kept_ut = [(u, t) for u, t in ut if u in core and t in tags]
+    return (
+        tuple(dict.fromkeys(u for u, _ in uo if u in core)),
+        tuple(dict.fromkeys(o for _, o in kept_uo)),
+        tuple(dict.fromkeys(t for _, t in kept_ut)),
+        set(kept_uo),
+        set(kept_ut),
+    )
+
+
+def external_edges(dataset):
+    """The dataset's two edge sets in external ids."""
+    users = dataset.users.external_ids
+    return (
+        {(users[u], dataset.objects.external_ids[o]) for u, o in dataset.user_object.edges()},
+        {(users[u], dataset.tags.external_ids[t]) for u, t in dataset.user_tag.edges()},
+    )
+
+
+event_lists = st.tuples(
+    st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=40),
+    st.lists(st.tuples(st.integers(0, 7), st.integers(0, 5)), max_size=40),
+)
+
+
+def records_of(uo, ut) -> RawRecords:
+    return RawRecords(
+        object_events=[(f"u{u}", f"o{o}", None) for u, o in uo],
+        tag_events=[(f"u{u}", None, f"t{t}") for u, t in ut],
+    )
+
+
 def records_from_dataset(dataset) -> RawRecords:
     """Rebuild raw records from a dataset (for idempotence checks)."""
     recs = RawRecords()
@@ -126,21 +191,45 @@ class TestCoreFilter:
         assert ds.users.external_ids == ("u2", "u1")
         assert ds.objects.external_ids == ("o2", "o1")
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=40
-        ),
-        st.lists(
-            st.tuples(st.integers(0, 7), st.integers(0, 5)), max_size=40
-        ),
-    )
-    def test_postconditions_and_idempotence(self, uo, ut):
+    def test_user_order_counts_dropped_objects(self):
+        # u2's first object event is of o9, which falls; u2 still precedes u1
         recs = RawRecords(
-            object_events=[(f"u{u}", f"o{o}", None) for u, o in uo],
-            tag_events=[(f"u{u}", None, f"t{t}") for u, t in ut],
+            object_events=[("u2", "o9", None), ("u1", "o1", None), ("u2", "o1", None)],
+            tag_events=[("u1", None, "t1"), ("u2", None, "t1")],
         )
         ds = core_filter(recs)
+        assert ds.users.external_ids == ("u2", "u1")
+        assert ds.objects.external_ids == ("o1",)
+
+    @settings(max_examples=150, deadline=None)
+    @given(event_lists)
+    def test_matches_brute_force_definition(self, events):
+        uo = [(f"u{u}", f"o{o}") for u, o in events[0]]
+        ut = [(f"u{u}", f"t{t}") for u, t in events[1]]
+        users, objects, tags, ref_uo, ref_ut = reference_core(uo, ut)
+        ds = core_filter(records_of(*events))
+        assert ds.users.external_ids == users
+        assert ds.objects.external_ids == objects
+        assert ds.tags.external_ids == tags
+        assert external_edges(ds) == (ref_uo, ref_ut)
+
+    @settings(max_examples=100, deadline=None)
+    @given(event_lists, st.randoms(use_true_random=False))
+    def test_event_order_invariance(self, events, rnd):
+        uo, ut = events
+        ds = core_filter(records_of(uo, ut))
+        shuffled_uo, shuffled_ut = rnd.sample(uo, len(uo)), rnd.sample(ut, len(ut))
+        again = core_filter(records_of(shuffled_uo, shuffled_ut))
+        for a, b in (
+            (again.users, ds.users), (again.objects, ds.objects), (again.tags, ds.tags)
+        ):
+            assert set(a.external_ids) == set(b.external_ids)
+        assert external_edges(again) == external_edges(ds)
+
+    @settings(max_examples=60, deadline=None)
+    @given(event_lists)
+    def test_postconditions_and_idempotence(self, events):
+        ds = core_filter(records_of(*events))
         for x in range(len(ds.objects)):
             assert ds.user_object.right_degree(x) >= 2
         for t in range(len(ds.tags)):
@@ -149,20 +238,9 @@ class TestCoreFilter:
             assert ds.user_object.left_degree(u) >= 1
             assert ds.user_tag.left_degree(u) >= 1
         # idempotence up to index relabeling: compare by external ids
-        def ext_edges(d):
-            uo = {
-                (d.users.external_ids[u], d.objects.external_ids[o])
-                for u, o in d.user_object.edges()
-            }
-            ut = {
-                (d.users.external_ids[u], d.tags.external_ids[t])
-                for u, t in d.user_tag.edges()
-            }
-            return uo, ut
-
         again = core_filter(records_from_dataset(ds))
         assert set(again.users.external_ids) == set(ds.users.external_ids)
-        assert ext_edges(again) == ext_edges(ds)
+        assert external_edges(again) == external_edges(ds)
 
 
 class TestSplit:

@@ -8,6 +8,7 @@ deterministic iteration order and linear merges.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Sequence
@@ -17,8 +18,8 @@ from scipy import sparse
 
 
 class GraphConstructionError(ValueError):
-    """Raised when an edge is not a (left, right) pair or its indices are
-    outside the declared node ranges."""
+    """Raised when an edge is not a (left, right) pair of integers or its
+    indices are outside the declared node ranges."""
 
 
 @dataclass(frozen=True)
@@ -125,8 +126,8 @@ def build_graph(
     edges: Sequence[Sequence[int]] | np.ndarray, left_count: int, right_count: int
 ) -> BipartiteGraph:
     """Build a binary bipartite graph from (left, right) pairs, given as a
-    sequence of pairs or an (E, 2) integer array; duplicate pairs collapse
-    to one edge."""
+    sequence of integer pairs or an (E, 2) integer array; duplicate pairs
+    collapse to one edge."""
     if not isinstance(edges, np.ndarray):
         try:
             pairs_only = set(map(len, edges)) <= {2}
@@ -134,9 +135,16 @@ def build_graph(
             pairs_only = False
         if not pairs_only:
             raise GraphConstructionError("every edge must be a (left, right) pair")
-        edges = np.fromiter(
-            chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges)
-        ).reshape(-1, 2)
+        try:
+            edges = np.fromiter(
+                map(operator.index, chain.from_iterable(edges)),
+                dtype=np.int64,
+                count=2 * len(edges),
+            ).reshape(-1, 2)
+        except (TypeError, OverflowError) as exc:  # a float, a string, a huge int
+            raise GraphConstructionError(f"bad edge index: {exc}") from exc
+    elif not np.issubdtype(edges.dtype, np.integer):
+        raise GraphConstructionError(f"edge indices must be integers, got {edges.dtype}")
     if edges.ndim != 2 or edges.shape[1] != 2:
         raise GraphConstructionError(f"edges must have shape (E, 2), got {edges.shape}")
     left, right = edges[:, 0], edges[:, 1]

@@ -120,28 +120,28 @@ def evaluate_split(
     training = evaluation_split.training
     m = training.user_object.left_count
     scorer = Scorer(training, kind)
-    rank_sums = {lam: 0.0 for lam in lambda_grid}
-    hit_sums = {lam: {L: 0 for L in list_lengths} for lam in lambda_grid}
+    rank_sums = np.zeros(len(lambda_grid))
+    hit_sums = np.zeros((len(lambda_grid), len(list_lengths)), dtype=np.int64)
 
     for v, test_objects in _test_pairs_by_user(evaluation_split).items():
         p_obj, p_tag = scorer.channel_scores(v)
-        for lam in lambda_grid:
-            p = scorer.combine(p_obj, p_tag, lam, channel)
-            ranks, hits = scorer.pair_stats(p, v, test_objects, list_lengths)
-            rank_sums[lam] += sum(ranks)
-            for L in list_lengths:
-                hit_sums[lam][L] += hits[L]
+        ranks, hits = scorer.sweep_stats(
+            p_obj, p_tag, v, test_objects, lambda_grid, list_lengths, channel
+        )
+        rank_sums += np.cumsum(ranks, axis=0)[-1]  # in test-object order
+        hit_sums += hits
 
-    return {
-        lam: CellMetrics(
-            rank_score=rank_sums[lam] / n_p,
-            recall={L: hit_sums[lam][L] / n_p for L in list_lengths},
-            precision={L: hit_sums[lam][L] / (m * L) for L in list_lengths},
-            hits=dict(hit_sums[lam]),
+    cells = {}
+    for g, lam in enumerate(lambda_grid):
+        hits = dict(zip(list_lengths, hit_sums[g].tolist()))
+        cells[lam] = CellMetrics(
+            rank_score=float(rank_sums[g] / n_p),
+            recall={L: h / n_p for L, h in hits.items()},
+            precision={L: h / (m * L) for L, h in hits.items()},
+            hits=hits,
             n_p=n_p,
         )
-        for lam in lambda_grid
-    }
+    return cells
 
 
 def run_experiment(dataset: TripartiteDataset, config: ExperimentConfig) -> MetricsReport:

@@ -1,9 +1,9 @@
 """Parsing of interaction/tagging logs, core filtering, and train/test splits.
 
-The raw logs are plain delimited text (tab or comma, auto-detected from the
-first line). Core filtering keeps only objects and tags with at least two
-distinct users, and users with at least one surviving object AND one
-surviving tag, iterating to a fixed point. Splitting partitions user-object
+The raw logs are plain delimited text (tab, "::" or comma, auto-detected
+from the first line). Core filtering keeps only objects and tags with at
+least two distinct users, and users with at least one surviving object AND
+one surviving tag, iterating to a fixed point. Splitting partitions user-object
 edges only; all user-tag edges stay in training.
 """
 
@@ -66,7 +66,11 @@ def _is_number(token: str) -> bool:
 
 
 def _detect_delimiter(first_line: str) -> str:
-    return "\t" if "\t" in first_line else ","
+    """Tab if the line has one, else MovieLens' "::" if it has one, else comma."""
+    for delim in ("\t", "::"):
+        if delim in first_line:
+            return delim
+    return ","
 
 
 def _iter_rows(lines: Iterable[str]):

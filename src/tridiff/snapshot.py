@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 from .core import EntityIndexMap, TripartiteDataset, build_graph
@@ -11,7 +12,10 @@ SNAPSHOT_NAME = "dataset.json"
 
 
 def save_dataset(dataset: TripartiteDataset, directory: Path) -> Path:
-    """Write the dataset as a single JSON snapshot; returns the file path."""
+    """Write the dataset as a single JSON snapshot; returns the file path.
+
+    The snapshot is written to a temporary file beside it and then renamed
+    over it, so a failed write leaves the previous snapshot intact."""
     directory.mkdir(parents=True, exist_ok=True)
     payload = {
         "users": list(dataset.users.external_ids),
@@ -21,8 +25,13 @@ def save_dataset(dataset: TripartiteDataset, directory: Path) -> Path:
         "user_tag": [[int(u), int(t)] for u, t in dataset.user_tag.edges()],
     }
     path = directory / SNAPSHOT_NAME
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, separators=(",", ":"))
+    partial = path.with_name(path.name + ".tmp")
+    try:
+        with partial.open("w", encoding="utf-8") as fh:
+            json.dump(payload, fh, separators=(",", ":"))
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
     return path
 
 

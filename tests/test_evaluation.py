@@ -1,8 +1,14 @@
+import hashlib
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from tridiff import recommend
+from tridiff.cli import main
 from tridiff.evaluation import (
     ExperimentConfig,
     UndefinedMetricError,
@@ -11,7 +17,8 @@ from tridiff.evaluation import (
     run_experiment,
 )
 from tridiff.ingest import EvaluationSplit
-from tridiff.recommend import Scorer
+from tridiff.recommend import CHANNELS, Scorer
+from tridiff.snapshot import save_dataset
 
 from conftest import make_dataset, random_tripartite
 
@@ -67,16 +74,105 @@ class TestRankOfTestPairs:
         ds = make_dataset([(1, 0)], [(1, 0)], 2, len(scores), 1)
         engine = Scorer(ds, "diffusion")
         p = np.array(scores)
-        ranks, _ = engine.pair_stats(p, 0, [target_idx], ())
-        assert ranks[0] == pytest.approx(expected_midrank / len(scores), abs=1e-15)
+        ranks, _ = engine.sweep_stats(p, p, 0, [target_idx], (1.0,), ())
+        assert ranks[0, 0] == pytest.approx(expected_midrank / len(scores), abs=1e-15)
 
     def test_monotone_in_score(self):
         # raising the test object's score above one more competitor lowers r
         ds = make_dataset([(1, 0)], [(1, 0)], 2, 5, 1)
         engine = Scorer(ds, "diffusion")
-        lo, _ = engine.pair_stats(np.array([0.9, 0.5, 0.3, 0.0, 0.0]), 0, [2], ())
-        hi, _ = engine.pair_stats(np.array([0.9, 0.5, 0.7, 0.0, 0.0]), 0, [2], ())
-        assert hi[0] < lo[0]
+        lo_p = np.array([0.9, 0.5, 0.3, 0.0, 0.0])
+        hi_p = np.array([0.9, 0.5, 0.7, 0.0, 0.0])
+        lo, _ = engine.sweep_stats(lo_p, lo_p, 0, [2], (1.0,), ())
+        hi, _ = engine.sweep_stats(hi_p, hi_p, 0, [2], (1.0,), ())
+        assert hi[0, 0] < lo[0, 0]
+
+
+def brute_sweep_stats(p_obj, p_tag, collected, test_objects, lambdas, list_lengths, channel):
+    """Midranks and top-L hits by brute force, one lambda at a time: the
+    fused score is lam * p_obj + (1 - lam) * p_tag in float64 (or one
+    channel), and the top-L lists are sorted outright."""
+    uncollected = [b for b in range(len(p_obj)) if b not in collected]
+    ranks = np.zeros((len(test_objects), len(lambdas)))
+    hits = np.zeros((len(lambdas), len(list_lengths)), dtype=np.int64)
+    for g, lam in enumerate(lambdas):
+        if channel == "object":
+            p = p_obj
+        elif channel == "tag":
+            p = p_tag
+        else:
+            p = lam * p_obj + (1.0 - lam) * p_tag
+        ranked = sorted((b for b in uncollected if p[b] > 0.0), key=lambda b: (-p[b], b))
+        for i, alpha in enumerate(test_objects):
+            greater = sum(p[b] > p[alpha] for b in uncollected)
+            equal = sum(p[b] == p[alpha] for b in uncollected)
+            ranks[i, g] = (greater + (equal + 1) / 2.0) / len(uncollected)
+            for j, L in enumerate(list_lengths):
+                hits[g, j] += alpha in ranked[:L]
+    return ranks, hits
+
+
+# exact ties, 1-ulp neighbours, sums that round (0.1 + 0.2), zeros, subnormals
+SCORE_POOL = (
+    0.0, 5e-324, 1e-300, 1e-12, 0.1, 0.2, 0.1 + 0.2, 0.3,
+    np.nextafter(0.3, 1.0), np.nextafter(0.3, 0.0), 0.5, 1.0, np.nextafter(1.0, 2.0), 2.0,
+)
+LAMBDA_POOL = (0.0, 1.0, 1e-12, 1.0 - 1e-12, 0.5, np.nextafter(0.5, 1.0), 0.25, 0.75, 0.02, 1 / 3)
+
+
+@st.composite
+def sweep_cases(draw):
+    """A target's two channel score vectors, its collected objects, its test
+    objects, a lambda grid (unsorted, with duplicates) and a channel."""
+    n = draw(st.integers(2, 24))
+    score = st.one_of(st.sampled_from(SCORE_POOL), st.floats(0.0, 3.0))
+    scale = draw(st.sampled_from((1.0, 1e-300, 1e300)))
+    p_obj = np.array(draw(st.lists(score, min_size=n, max_size=n))) * scale
+    p_tag = np.array(draw(st.lists(score, min_size=n, max_size=n))) * scale
+    collected = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    free = [b for b in range(n) if b not in collected]
+    test_objects = draw(st.lists(st.sampled_from(free), min_size=1, max_size=4, unique=True))
+    lam = st.one_of(st.sampled_from(LAMBDA_POOL), st.floats(0.0, 1.0))
+    lambdas = draw(st.lists(lam, min_size=1, max_size=16))
+    return p_obj, p_tag, sorted(collected), test_objects, lambdas, draw(st.sampled_from(CHANNELS))
+
+
+class TestSweepStats:
+    @settings(max_examples=300, deadline=None)
+    @given(sweep_cases())
+    @example(  # beta and alpha swap scores: they tie at lam = 0.5 only
+        (np.array([0.2, 0.1, 0.0]), np.array([0.1, 0.2, 0.0]), [], [1], [0.25, 0.5, 0.75], "fused")
+    )
+    @example(  # a 51-point grid on 1-ulp neighbours and a zero block
+        (
+            np.array([0.3, np.nextafter(0.3, 1.0), 0.0, 0.0, 0.1 + 0.2]),
+            np.array([np.nextafter(0.3, 0.0), 0.3, 0.0, 0.0, 0.3]),
+            [2], [0, 3], list(lambda_grid(0.0, 1.0, 0.02)), "fused",
+        )
+    )
+    def test_matches_brute_force(self, case):
+        p_obj, p_tag, collected, test_objects, lambdas, channel = case
+        n = len(p_obj)
+        ds = make_dataset([(0, b) for b in collected] + [(1, 0)], [(0, 0), (1, 0)], 2, n, 1)
+        scorer = Scorer(ds, "diffusion")
+        expected = brute_sweep_stats(
+            p_obj, p_tag, collected, test_objects, lambdas, (1, 2, 5), channel
+        )
+        # every grid through the crossing path, then every grid compared directly
+        for threshold in (1, len(lambdas) + 1):
+            with mock.patch.object(recommend, "MIN_CROSSING_POINTS", threshold):
+                ranks, hits = scorer.sweep_stats(
+                    p_obj, p_tag, 0, test_objects, lambdas, (1, 2, 5), channel
+                )
+            assert np.array_equal(ranks, expected[0])
+            assert np.array_equal(hits, expected[1])
+
+    def test_rejects_lambda_outside_unit_interval(self):
+        scorer = Scorer(make_dataset([(1, 0)], [(1, 0)], 2, 3, 1), "diffusion")
+        p = np.zeros(3)
+        for lam in (-0.1, 1.1, float("nan")):
+            with pytest.raises(ValueError):
+                scorer.sweep_stats(p, p, 0, [1], (0.5, lam), (1,))
 
 
 class TestRankingScore:
@@ -253,3 +349,30 @@ class TestRunExperiment:
             report = run_experiment(dataset, self.cfg(similarity_kind=kind, runs=1))
             for cell in report.per_cell.values():
                 assert 0.0 < cell.rank_score <= 1.0
+
+
+class TestSweepCsvPinned:
+    # sha256 of each sweep_<kind>.csv of a 51-lambda sweep of the fixture
+    # below as comparing fused scores at every lambda writes them; a faster
+    # ranking must leave these bytes as they are
+    EXPECTED = {
+        "diffusion": "b979427d64819706cf4d888256f09b64c738a5956d34cbf805b60a717d37cf45",
+        "cosine": "bf1094cee0a9347ac6e8c71c99ff7dedc27536843a8ee4e25341d54eb83f2fc3",
+        "jaccard": "f05d1f03ab1042a33c98e8b769a4cf0ece8f8030935729053c2386ae0df6a74b",
+    }
+
+    def test_sweep_csv_bytes(self, tmp_path):
+        dataset = random_tripartite(
+            np.random.default_rng(11), m=60, n=80, r=30,
+            obj_density=0.1, tag_density=0.1,
+        )
+        save_dataset(dataset, tmp_path)
+        rc = main(
+            ["sweep", "--out", str(tmp_path), "--similarity", "diffusion,cosine,jaccard",
+             "--runs", "2", "--seed", "4", "--L", "5,10"]
+        )
+        assert rc == 0
+        for kind, digest in self.EXPECTED.items():
+            csv = (tmp_path / f"sweep_{kind}.csv").read_bytes()
+            assert len(csv.splitlines()) == 1 + 51 * 2
+            assert hashlib.sha256(csv).hexdigest() == digest

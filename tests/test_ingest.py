@@ -110,6 +110,18 @@ class TestParse:
         assert recs.object_events == [("7", "42", 3.0)]
         assert recs.tag_events == [("7", "42", "funny")]
 
+    def test_movielens_double_colon(self):
+        # MovieLens ratings.dat / tags.dat: no header, "::" between fields
+        recs = parse(
+            ["1::122::5::838985046", "1::185::4.5::838983525", "2::292::3::838983421"],
+            ["15::4973::excellent!::1215184630"],
+        )
+        assert recs.object_events == [
+            ("1", "122", 5.0), ("1", "185", 4.5), ("2", "292", 3.0)
+        ]
+        assert recs.tag_events == [("15", "4973", "excellent!")]
+        assert recs.errors == []
+
     def test_header_skipped(self):
         recs = parse(["userId\tmovieId\trating", "7\t42\t3"], [])
         assert recs.object_events == [("7", "42", 3.0)]

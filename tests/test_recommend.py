@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tridiff.evaluation import lambda_grid
 from tridiff.ingest import split
 from tridiff.recommend import Scorer
 
@@ -110,13 +111,15 @@ class TestListsMatchEvaluation:
         evaluation_split = split(dataset, 0.9, 3)
         scorer = Scorer(evaluation_split.training, kind)
         listed_hits = 0
-        for v, alpha in sorted(evaluation_split.test_edges):
-            p_obj, p_tag = scorer.channel_scores(v)
-            for lam in (0.0, 0.5, 1.0):
-                p = scorer.combine(p_obj, p_tag, lam)
-                _, hits = scorer.pair_stats(p, v, [alpha], (5, 10))
-                for L in (5, 10):
-                    listed = alpha in [obj for obj, _ in scorer.top_l(p, v, L)]
-                    assert hits[L] == int(listed)
-                    listed_hits += listed
+        # a short grid compares fused scores directly, a long one uses crossing points
+        for grid in ((0.0, 0.5, 1.0), lambda_grid(0.0, 1.0, 0.05)):
+            for v, alpha in sorted(evaluation_split.test_edges):
+                p_obj, p_tag = scorer.channel_scores(v)
+                _, hits = scorer.sweep_stats(p_obj, p_tag, v, [alpha], grid, (5, 10))
+                for g, lam in enumerate(grid):
+                    p = scorer.combine(p_obj, p_tag, lam)
+                    for j, L in enumerate((5, 10)):
+                        listed = alpha in [obj for obj, _ in scorer.top_l(p, v, L)]
+                        assert hits[g, j] == int(listed)
+                        listed_hits += listed
         assert listed_hits > 0

@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 from . import evaluation, ingest, similarity, snapshot
+from .core import TripartiteDataset
 from .evaluation import ExperimentConfig, MetricsReport
 from .recommend import Scorer
 
@@ -146,13 +147,16 @@ def write_summary(report: MetricsReport, kind: str, out: Path, fmt: str) -> None
     (out / f"optima_{kind}.csv").write_text("\n".join(opt_lines) + "\n", encoding="utf-8")
 
 
+def _load_snapshot(out: Path) -> TripartiteDataset:
+    try:
+        return snapshot.load_dataset(out)
+    except FileNotFoundError as exc:
+        raise snapshot.SnapshotError(f"no snapshot in {out}; run ingest first") from exc
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    try:
-        dataset = snapshot.load_dataset(out)
-    except FileNotFoundError:
-        print(f"error: no snapshot in {out}; run ingest first", file=sys.stderr)
-        return 1
+    dataset = _load_snapshot(out)
     try:
         if args.lambda_ is not None:
             grid = (args.lambda_,)
@@ -194,11 +198,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         print(f"usage error: L must be >= 1, got {args.L}", file=sys.stderr)
         return 2
     out = Path(args.out)
-    try:
-        dataset = snapshot.load_dataset(out)
-    except FileNotFoundError:
-        print(f"error: no snapshot in {out}; run ingest first", file=sys.stderr)
-        return 1
+    dataset = _load_snapshot(out)
     if args.user not in dataset.users.index_of:
         print(f"error: unknown user id {args.user!r}", file=sys.stderr)
         return 1
@@ -217,7 +217,11 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"ingest": cmd_ingest, "sweep": cmd_sweep, "recommend": cmd_recommend}
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except snapshot.SnapshotError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -8,9 +8,7 @@ deterministic iteration order and linear merges.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -115,35 +113,30 @@ class BipartiteGraph:
         )
         return self._csc.indices[np.arange(total) + shifts]
 
-    def edges(self) -> list[tuple[int, int]]:
-        """All edges as (left, right) pairs, sorted lexicographically (the
-        row-major order of the canonical CSR)."""
+    def edge_array(self) -> np.ndarray:
+        """All edges as an (E, 2) array of (left, right) rows, sorted
+        lexicographically (the row-major order of the canonical CSR)."""
         coo = self._csr.tocoo()
-        return list(zip(coo.row.tolist(), coo.col.tolist()))
+        return np.column_stack((coo.row, coo.col))
+
+    def edges(self) -> list[tuple[int, int]]:
+        """The rows of edge_array() as (left, right) pairs."""
+        return list(map(tuple, self.edge_array().tolist()))
 
 
 def build_graph(
     edges: Sequence[Sequence[int]] | np.ndarray, left_count: int, right_count: int
 ) -> BipartiteGraph:
-    """Build a binary bipartite graph from (left, right) pairs, given as a
-    sequence of integer pairs or an (E, 2) integer array; duplicate pairs
-    collapse to one edge."""
-    if not isinstance(edges, np.ndarray):
-        try:
-            pairs_only = set(map(len, edges)) <= {2}
-        except TypeError:  # an entry with no length
-            pairs_only = False
-        if not pairs_only:
-            raise GraphConstructionError("every edge must be a (left, right) pair")
-        try:
-            edges = np.fromiter(
-                map(operator.index, chain.from_iterable(edges)),
-                dtype=np.int64,
-                count=2 * len(edges),
-            ).reshape(-1, 2)
-        except (TypeError, OverflowError) as exc:  # a float, a string, a huge int
-            raise GraphConstructionError(f"bad edge index: {exc}") from exc
-    elif not np.issubdtype(edges.dtype, np.integer):
+    """Build a binary bipartite graph from (left, right) pairs, given as an
+    (E, 2) integer array or anything np.asarray turns into one; duplicate
+    pairs collapse to one edge."""
+    try:
+        edges = np.asarray(edges)
+    except ValueError as exc:  # ragged pairs
+        raise GraphConstructionError(f"edges must have shape (E, 2): {exc}") from exc
+    if edges.shape == (0,):
+        edges = np.empty((0, 2), dtype=np.intp)
+    if not np.issubdtype(edges.dtype, np.integer):
         raise GraphConstructionError(f"edge indices must be integers, got {edges.dtype}")
     if edges.ndim != 2 or edges.shape[1] != 2:
         raise GraphConstructionError(f"edges must have shape (E, 2), got {edges.shape}")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import TripartiteDataset
 from .ingest import EvaluationSplit, split
-from .recommend import CHANNELS, FUSED, Scorer
+from .recommend import Scorer
 from .similarity import DIFFUSION, KINDS
 
 
@@ -57,13 +57,10 @@ class ExperimentConfig:
     train_fraction: float = 0.9
     list_lengths: tuple[int, ...] = (10, 20)
     base_seed: int = 0
-    channel: str = FUSED  # "fused" sweeps lambda; "object"/"tag" use one graph
 
     def __post_init__(self) -> None:
         if self.similarity_kind not in KINDS:
             raise ValueError(f"unknown similarity kind: {self.similarity_kind!r}")
-        if self.channel not in CHANNELS:
-            raise ValueError(f"unknown channel: {self.channel!r}")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         grid = tuple(self.lambda_grid)
@@ -107,7 +104,6 @@ def evaluate_split(
     kind: str,
     lambda_grid: Sequence[float],
     list_lengths: Sequence[int],
-    channel: str = FUSED,
 ) -> dict[float, CellMetrics]:
     """Ranking score, Recall@L and Precision@L of one split at every lambda.
 
@@ -125,9 +121,7 @@ def evaluate_split(
 
     for v, test_objects in _test_pairs_by_user(evaluation_split).items():
         p_obj, p_tag = scorer.channel_scores(v)
-        ranks, hits = scorer.sweep_stats(
-            p_obj, p_tag, v, test_objects, lambda_grid, list_lengths, channel
-        )
+        ranks, hits = scorer.sweep_stats(p_obj, p_tag, v, test_objects, lambda_grid, list_lengths)
         rank_sums += np.cumsum(ranks, axis=0)[-1]  # in test-object order
         hit_sums += hits
 
@@ -162,7 +156,6 @@ def run_experiment(dataset: TripartiteDataset, config: ExperimentConfig) -> Metr
                 config.similarity_kind,
                 config.lambda_grid,
                 config.list_lengths,
-                config.channel,
             )
         except UndefinedMetricError:
             for lam in config.lambda_grid:

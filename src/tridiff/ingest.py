@@ -220,8 +220,7 @@ def split(dataset: TripartiteDataset, train_fraction: float, seed: int) -> Evalu
     if dataset.is_empty:
         raise ValueError("cannot split an empty dataset")
 
-    coo = dataset.user_object.matrix.tocoo()  # row-major, as the CSR is canonical
-    edges = np.column_stack((coo.row, coo.col))
+    edges = dataset.user_object.edge_array()
     n_train = round(train_fraction * len(edges))
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(edges))

@@ -21,11 +21,6 @@ import numpy as np
 from .core import TripartiteDataset
 from .similarity import similarity_vector
 
-FUSED = "fused"
-OBJECT_ONLY = "object"
-TAG_ONLY = "tag"
-CHANNELS = (FUSED, OBJECT_ONLY, TAG_ONLY)
-
 # A sweep with fewer distinct lambdas inside (0, 1) than this compares fused
 # scores at every lambda: on the benchmark's seed-1 data (2-vCPU VM), one
 # crossing-point pass over a user's test objects costs about as much as 11
@@ -60,14 +55,9 @@ class Scorer:
         )
 
     @staticmethod
-    def combine(
-        p_obj: np.ndarray, p_tag: np.ndarray, lam: float, channel: str = FUSED
-    ) -> np.ndarray:
-        """lam * object + (1 - lam) * tag, or one channel alone."""
-        if channel == OBJECT_ONLY:
-            return p_obj
-        if channel == TAG_ONLY:
-            return p_tag
+    def combine(p_obj: np.ndarray, p_tag: np.ndarray, lam: float) -> np.ndarray:
+        """lam * object + (1 - lam) * tag; exactly p_obj at lam = 1 and
+        p_tag at lam = 0."""
         return lam * p_obj + (1.0 - lam) * p_tag
 
     def _uncollected(self, p: np.ndarray, v: int) -> np.ndarray:
@@ -95,13 +85,12 @@ class Scorer:
         test_objects: Sequence[int],
         lambdas: Sequence[float],
         list_lengths: Sequence[int],
-        channel: str = FUSED,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Relative midranks of v's test objects among v's uncollected
         objects, and how many of them each top-L list holds, at every lambda.
 
         Returns ranks[i, g], the midrank of test_objects[i] under
-        combine(p_obj, p_tag, lambdas[g], channel) divided by the number of
+        combine(p_obj, p_tag, lambdas[g]) divided by the number of
         uncollected objects, and hits[g, j], how many test objects the
         top-list_lengths[j] list of that score holds. A tie is == on
         combine's output; within a tie block top_l lists lower indices first.
@@ -114,12 +103,6 @@ class Scorer:
         lams = np.asarray(lambdas, dtype=np.float64)
         if not all(0.0 <= lam <= 1.0 for lam in lams.tolist()):
             raise ValueError("lambdas must lie in [0, 1]")
-        if channel in (OBJECT_ONLY, TAG_ONLY):
-            # one channel is the fused score at an end of the grid
-            end = (1.0,) if channel == OBJECT_ONLY else (0.0,)
-            ranks, hits = self.sweep_stats(p_obj, p_tag, v, test_objects, end, list_lengths)
-            return np.repeat(ranks, len(lams), axis=1), np.repeat(hits, len(lams), axis=0)
-
         alphas = np.asarray(test_objects, dtype=np.intp)
         n_uncollected = self.n_objects - self.dataset.user_object.left_degree(v)
         interior = ()

@@ -85,3 +85,12 @@ def random_tripartite(
     uo_edges = list(zip(*(a.tolist() for a in np.nonzero(uo))))
     ut_edges = list(zip(*(a.tolist() for a in np.nonzero(ut))))
     return make_dataset(uo_edges, ut_edges, m, n, r)
+
+
+def rewrite_snapshot(path, drop=(), **arrays) -> None:
+    """Rewrite the snapshot file at path with members replaced or dropped."""
+    with np.load(path) as npz:
+        members = {name: npz[name] for name in npz.files if name not in drop}
+    members.update(arrays)
+    with path.open("wb") as fh:
+        np.savez(fh, **members)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from tridiff.cli import main as cli_main
-from tridiff.evaluation import ExperimentConfig, run_experiment
+from tridiff.evaluation import ExperimentConfig, lambda_grid, run_experiment
 from tridiff.ingest import core_filter, parse
 from tridiff.similarity import cosine_vector, diffusion_vector, jaccard_vector
 from tridiff.snapshot import save_dataset
@@ -133,7 +133,7 @@ def test_ranks_example_third_of_hundred():
 
 
 def test_endpoint_equivalence():
-    with criterion("endpoints: lambda=1 / lambda=0 cells bitwise equal single-channel"):
+    with criterion("endpoints: lambda=1 / lambda=0 cells bitwise equal across grids"):
         dataset = random_tripartite(
             np.random.default_rng(5), m=60, n=80, r=30,
             obj_density=0.08, tag_density=0.08,
@@ -148,11 +148,12 @@ def test_endpoint_equivalence():
             return ExperimentConfig(**base)
 
         fused = run_experiment(dataset, cfg())
-        obj = run_experiment(dataset, cfg(lambda_grid=(1.0,), channel="object"))
-        tag = run_experiment(dataset, cfg(lambda_grid=(0.0,), channel="tag"))
-        for run in range(2):
-            assert fused.per_cell[(1.0, run)] == obj.per_cell[(1.0, run)]
-            assert fused.per_cell[(0.0, run)] == tag.per_cell[(0.0, run)]
+        # the 21-point grid ranks through crossing points, the others directly
+        for grid in (lambda_grid(0.0, 1.0, 0.05), (1.0,), (0.0,)):
+            other = run_experiment(dataset, cfg(lambda_grid=grid))
+            for lam in {0.0, 1.0} & set(grid):
+                for run in range(2):
+                    assert other.per_cell[(lam, run)] == fused.per_cell[(lam, run)]
 
 
 def test_sweep_determinism(tmp_path):

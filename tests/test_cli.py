@@ -1,11 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from tridiff.cli import main
-from tridiff.snapshot import save_dataset
+from tridiff.snapshot import SNAPSHOT_NAME, save_dataset
 
-from conftest import make_dataset
+from conftest import make_dataset, rewrite_snapshot
 
 OBJECT_LINES = """\
 userId\tmovieId\trating
@@ -60,7 +61,7 @@ class TestIngest:
             "user_object_edges": 6,
             "user_tag_edges": 4,
         }
-        assert (out / "dataset.json").is_file()
+        assert (out / SNAPSHOT_NAME).is_file()
         assert json.loads((out / "summary.json").read_text()) == summary
 
     def test_unreadable_file(self, tmp_path, capsys):
@@ -184,6 +185,11 @@ class TestSweep:
         assert rc == 1
         assert "run ingest first" in capsys.readouterr().err
 
+    def test_json_snapshot_needs_new_ingest(self, tmp_path, capsys):
+        (tmp_path / "dataset.json").write_text('{"users": []}', encoding="utf-8")
+        assert main(["sweep", "--out", str(tmp_path)]) == 1
+        assert "run ingest first" in capsys.readouterr().err
+
     def test_env_does_not_override_flags(self, snapshot_dir, monkeypatch):
         monkeypatch.setenv("TRIDIFF_RUNS", "1")
         monkeypatch.setenv("TRIDIFF_LAMBDA", "0.5")
@@ -262,3 +268,26 @@ class TestRecommend:
         assert rc == 0
         assert captured.out == ""
         assert "no positive-score objects" in captured.err
+
+
+DAMAGES = {
+    "truncated": lambda path: path.write_bytes(path.read_bytes()[:-100]),
+    "float_edges": lambda path: rewrite_snapshot(path, user_object=np.array([[0.5, 0.0]])),
+    "object_member": lambda path: rewrite_snapshot(
+        path, tags=np.array(["funny", None], dtype=object)
+    ),
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGES.values(), ids=DAMAGES.keys())
+@pytest.mark.parametrize(
+    "command", [["sweep", "--runs", "1"], ["recommend", "--user", "1"]], ids=["sweep", "recommend"]
+)
+def test_corrupt_snapshot_is_one_error_line(snapshot_dir, capsys, damage, command):
+    damage(snapshot_dir / SNAPSHOT_NAME)
+    rc = main([command[0], "--out", str(snapshot_dir), *command[1:]])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

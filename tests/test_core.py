@@ -67,6 +67,8 @@ class TestBuildGraph:
         with pytest.raises(GraphConstructionError):
             build_graph([(0, 0, 1)], 3, 2)
         with pytest.raises(GraphConstructionError):
+            build_graph([(0, 1), (2,)], 3, 2)
+        with pytest.raises(GraphConstructionError):
             build_graph(np.zeros((1, 3), dtype=np.int64), 3, 2)
         # non-integer indices are rejected, not truncated or parsed
         for bad in ([[0.5, 1]], [["1", 0]], [(0, None)], np.array([[0.5, 1.0]])):

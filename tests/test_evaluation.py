@@ -17,7 +17,7 @@ from tridiff.evaluation import (
     run_experiment,
 )
 from tridiff.ingest import EvaluationSplit
-from tridiff.recommend import CHANNELS, Scorer
+from tridiff.recommend import Scorer
 from tridiff.snapshot import save_dataset
 
 from conftest import make_dataset, random_tripartite
@@ -88,20 +88,15 @@ class TestRankOfTestPairs:
         assert hi[0, 0] < lo[0, 0]
 
 
-def brute_sweep_stats(p_obj, p_tag, collected, test_objects, lambdas, list_lengths, channel):
+def brute_sweep_stats(p_obj, p_tag, collected, test_objects, lambdas, list_lengths):
     """Midranks and top-L hits by brute force, one lambda at a time: the
-    fused score is lam * p_obj + (1 - lam) * p_tag in float64 (or one
-    channel), and the top-L lists are sorted outright."""
+    fused score is lam * p_obj + (1 - lam) * p_tag in float64, and the
+    top-L lists are sorted outright."""
     uncollected = [b for b in range(len(p_obj)) if b not in collected]
     ranks = np.zeros((len(test_objects), len(lambdas)))
     hits = np.zeros((len(lambdas), len(list_lengths)), dtype=np.int64)
     for g, lam in enumerate(lambdas):
-        if channel == "object":
-            p = p_obj
-        elif channel == "tag":
-            p = p_tag
-        else:
-            p = lam * p_obj + (1.0 - lam) * p_tag
+        p = lam * p_obj + (1.0 - lam) * p_tag
         ranked = sorted((b for b in uncollected if p[b] > 0.0), key=lambda b: (-p[b], b))
         for i, alpha in enumerate(test_objects):
             greater = sum(p[b] > p[alpha] for b in uncollected)
@@ -123,7 +118,7 @@ LAMBDA_POOL = (0.0, 1.0, 1e-12, 1.0 - 1e-12, 0.5, np.nextafter(0.5, 1.0), 0.25, 
 @st.composite
 def sweep_cases(draw):
     """A target's two channel score vectors, its collected objects, its test
-    objects, a lambda grid (unsorted, with duplicates) and a channel."""
+    objects and a lambda grid (unsorted, with duplicates)."""
     n = draw(st.integers(2, 24))
     score = st.one_of(st.sampled_from(SCORE_POOL), st.floats(0.0, 3.0))
     scale = draw(st.sampled_from((1.0, 1e-300, 1e300)))
@@ -134,35 +129,33 @@ def sweep_cases(draw):
     test_objects = draw(st.lists(st.sampled_from(free), min_size=1, max_size=4, unique=True))
     lam = st.one_of(st.sampled_from(LAMBDA_POOL), st.floats(0.0, 1.0))
     lambdas = draw(st.lists(lam, min_size=1, max_size=16))
-    return p_obj, p_tag, sorted(collected), test_objects, lambdas, draw(st.sampled_from(CHANNELS))
+    return p_obj, p_tag, sorted(collected), test_objects, lambdas
 
 
 class TestSweepStats:
     @settings(max_examples=300, deadline=None)
     @given(sweep_cases())
     @example(  # beta and alpha swap scores: they tie at lam = 0.5 only
-        (np.array([0.2, 0.1, 0.0]), np.array([0.1, 0.2, 0.0]), [], [1], [0.25, 0.5, 0.75], "fused")
+        (np.array([0.2, 0.1, 0.0]), np.array([0.1, 0.2, 0.0]), [], [1], [0.25, 0.5, 0.75])
     )
     @example(  # a 51-point grid on 1-ulp neighbours and a zero block
         (
             np.array([0.3, np.nextafter(0.3, 1.0), 0.0, 0.0, 0.1 + 0.2]),
             np.array([np.nextafter(0.3, 0.0), 0.3, 0.0, 0.0, 0.3]),
-            [2], [0, 3], list(lambda_grid(0.0, 1.0, 0.02)), "fused",
+            [2], [0, 3], list(lambda_grid(0.0, 1.0, 0.02)),
         )
     )
     def test_matches_brute_force(self, case):
-        p_obj, p_tag, collected, test_objects, lambdas, channel = case
+        p_obj, p_tag, collected, test_objects, lambdas = case
         n = len(p_obj)
         ds = make_dataset([(0, b) for b in collected] + [(1, 0)], [(0, 0), (1, 0)], 2, n, 1)
         scorer = Scorer(ds, "diffusion")
-        expected = brute_sweep_stats(
-            p_obj, p_tag, collected, test_objects, lambdas, (1, 2, 5), channel
-        )
+        expected = brute_sweep_stats(p_obj, p_tag, collected, test_objects, lambdas, (1, 2, 5))
         # every grid through the crossing path, then every grid compared directly
         for threshold in (1, len(lambdas) + 1):
             with mock.patch.object(recommend, "MIN_CROSSING_POINTS", threshold):
                 ranks, hits = scorer.sweep_stats(
-                    p_obj, p_tag, 0, test_objects, lambdas, (1, 2, 5), channel
+                    p_obj, p_tag, 0, test_objects, lambdas, (1, 2, 5)
                 )
             assert np.array_equal(ranks, expected[0])
             assert np.array_equal(hits, expected[1])
@@ -236,7 +229,6 @@ class TestConfig:
             {"lambda_grid": (0.0, 1.5)},
             {"lambda_grid": ()},
             {"list_lengths": (0,)},
-            {"channel": "both"},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
@@ -299,18 +291,6 @@ class TestRunExperiment:
         assert r1.per_cell == r2.per_cell
         assert r1.means == r2.means
         assert r1.optima == r2.optima
-
-    def test_endpoint_bitwise_object(self, dataset):
-        fused = run_experiment(dataset, self.cfg())
-        obj = run_experiment(dataset, self.cfg(lambda_grid=(1.0,), channel="object"))
-        for run in range(2):
-            assert fused.per_cell[(1.0, run)] == obj.per_cell[(1.0, run)]
-
-    def test_endpoint_bitwise_tag(self, dataset):
-        fused = run_experiment(dataset, self.cfg())
-        tag = run_experiment(dataset, self.cfg(lambda_grid=(0.0,), channel="tag"))
-        for run in range(2):
-            assert fused.per_cell[(0.0, run)] == tag.per_cell[(0.0, run)]
 
     def test_single_cell_tag_free(self, dataset):
         report = run_experiment(dataset, self.cfg(lambda_grid=(1.0,), runs=1))

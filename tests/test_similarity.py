@@ -120,15 +120,15 @@ class TestFuse:
 
     combine = staticmethod(Scorer.combine)
 
+    # the sweep's lambda = 1 and lambda = 0 cells are the single-channel results
+    OBJ = np.array([0.0, 0.25, 0.75, 0.0, 5e-324, 1e300, 0.1 + 0.2])
+    TAG = np.array([0.0, 0.5, 0.0, 0.5, 1e300, 5e-324, 0.3])
+
     def test_endpoint_object_only(self):
-        obj = np.array([0.0, 0.25, 0.75, 0.0])
-        tag = np.array([0.0, 0.5, 0.0, 0.5])
-        assert np.array_equal(self.combine(obj, tag, 1.0), obj)
+        assert np.array_equal(self.combine(self.OBJ, self.TAG, 1.0), self.OBJ)
 
     def test_endpoint_tag_only(self):
-        obj = np.array([0.0, 0.25, 0.75, 0.0])
-        tag = np.array([0.0, 0.5, 0.0, 0.5])
-        assert np.array_equal(self.combine(obj, tag, 0.0), tag)
+        assert np.array_equal(self.combine(self.OBJ, self.TAG, 0.0), self.TAG)
 
     def test_arithmetic(self):
         fused = self.combine(np.array([0.0, 0.25, 0.0]), np.array([0.0, 0.5, 0.1]), 0.74)

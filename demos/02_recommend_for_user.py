@@ -34,7 +34,7 @@ print(
 
 target = dataset.users.index_of["1"]
 scorer = Scorer(dataset, "diffusion")
-p_obj, p_tag = scorer.channel_scores(target)
+p_obj, p_tag = (p[0] for p in scorer.channel_scores([target]))
 
 for lam in (0.0, 0.74, 1.0):
     listing = scorer.top_l(scorer.combine(p_obj, p_tag, lam), target, L=3)

@@ -204,7 +204,8 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         return 1
     v = dataset.users.index_of[args.user]
     scorer = Scorer(dataset, args.similarity)
-    p = scorer.combine(*scorer.channel_scores(v), args.lambda_)
+    p_obj, p_tag = scorer.channel_scores([v])
+    p = scorer.combine(p_obj[0], p_tag[0], args.lambda_)
     listing = scorer.top_l(p, v, args.L)
     if not listing:
         print(f"warning: no positive-score objects for user {args.user}", file=sys.stderr)

@@ -1,9 +1,9 @@
 """Core data model: entity index maps, bipartite adjacency, tripartite container.
 
-Graphs are immutable after construction and safe for concurrent reads.
-Adjacency is binary; duplicate input edges collapse to a single edge.
-Neighbor lists are kept sorted so similarity kernels can rely on
-deterministic iteration order and linear merges.
+Graphs are immutable after construction. Adjacency is binary; duplicate
+input edges collapse to a single edge. Neighbor lists (the CSR indices) are
+kept sorted, which fixes the order in which the similarity and scoring
+products sum their terms, and so their floats.
 """
 
 from __future__ import annotations
@@ -43,10 +43,11 @@ class EntityIndexMap:
 
 
 class BipartiteGraph:
-    """Sparse binary bipartite adjacency with both-direction neighbor lists.
+    """Sparse binary bipartite adjacency in both directions.
 
     Left nodes are users; right nodes are objects or tags. Backed by a CSR
-    matrix (left -> right) and its CSC twin so both directions are O(degree).
+    matrix (left -> right) and its CSC twin, whose transpose is the CSR
+    matrix right -> left.
     """
 
     def __init__(self, matrix: sparse.csr_matrix):
@@ -55,6 +56,7 @@ class BipartiteGraph:
         self._csr = matrix
         self._csc = matrix.tocsc()
         self._csc.sort_indices()
+        self._transposed = self._csc.T
         self._left_degrees = np.diff(self._csr.indptr)
         self._right_degrees = np.diff(self._csc.indptr)
 
@@ -75,23 +77,19 @@ class BipartiteGraph:
         """CSR adjacency (left x right), values all 1.0. Do not mutate."""
         return self._csr
 
+    @property
+    def transposed(self) -> sparse.csr_matrix:
+        """CSR adjacency (right x left), a view of the CSC twin. Do not mutate."""
+        return self._transposed
+
     def left_neighbors(self, u: int) -> np.ndarray:
         """Sorted right-node indices adjacent to left node u."""
         if not 0 <= u < self.left_count:
             raise IndexError(f"left index {u} out of range [0, {self.left_count})")
         return self._csr.indices[self._csr.indptr[u] : self._csr.indptr[u + 1]]
 
-    def right_neighbors(self, x: int) -> np.ndarray:
-        """Sorted left-node indices adjacent to right node x."""
-        if not 0 <= x < self.right_count:
-            raise IndexError(f"right index {x} out of range [0, {self.right_count})")
-        return self._csc.indices[self._csc.indptr[x] : self._csc.indptr[x + 1]]
-
     def left_degree(self, u: int) -> int:
         return len(self.left_neighbors(u))
-
-    def right_degree(self, x: int) -> int:
-        return len(self.right_neighbors(x))
 
     @property
     def left_degrees(self) -> np.ndarray:
@@ -100,18 +98,6 @@ class BipartiteGraph:
     @property
     def right_degrees(self) -> np.ndarray:
         return self._right_degrees
-
-    def right_neighbors_flat(self, xs: np.ndarray) -> np.ndarray:
-        """Concatenated left-neighbor lists of the right nodes xs."""
-        indptr = self._csc.indptr
-        counts = indptr[xs + 1] - indptr[xs]
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=self._csc.indices.dtype)
-        shifts = np.repeat(
-            indptr[xs] - np.concatenate(([0], np.cumsum(counts)[:-1])), counts
-        )
-        return self._csc.indices[np.arange(total) + shifts]
 
     def edge_array(self) -> np.ndarray:
         """All edges as an (E, 2) array of (left, right) rows, sorted

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import TripartiteDataset
-from .similarity import similarity_vector
+from .similarity import similarity_matrix
 
 # A sweep with fewer distinct lambdas inside (0, 1) than this compares fused
 # scores at every lambda: on the benchmark's seed-1 data (2-vCPU VM), one
@@ -41,18 +41,18 @@ class Scorer:
         self.n_objects = dataset.user_object.right_count
         self._scatter = dataset.user_object.matrix.T  # CSC view, no copy
 
-    def scatter(self, s: np.ndarray, v: int) -> np.ndarray:
-        """Object scores from user similarities s toward v, v's own entry excluded."""
-        s = s.copy()
-        s[v] = 0.0
-        return self._scatter @ s
-
-    def channel_scores(self, v: int) -> tuple[np.ndarray, np.ndarray]:
-        """Object scores toward v from the object and from the tag channel."""
-        return (
-            self.scatter(similarity_vector(self.dataset.user_object, v, self.kind), v),
-            self.scatter(similarity_vector(self.dataset.user_tag, v, self.kind), v),
-        )
+    def channel_scores(self, users: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Object scores toward each of users from the object and from the tag
+        channel, as two (len(users), n_objects) arrays; each user's own
+        similarity is left out. Every score sums over users in ascending order.
+        """
+        users = np.asarray(users, dtype=np.intp)
+        scores = []
+        for graph in (self.dataset.user_object, self.dataset.user_tag):
+            s = similarity_matrix(graph, users, self.kind)
+            s[np.arange(len(users)), users] = 0.0
+            scores.append((self._scatter @ s.T).T)
+        return scores[0], scores[1]
 
     @staticmethod
     def combine(p_obj: np.ndarray, p_tag: np.ndarray, lam: float) -> np.ndarray:

@@ -1,6 +1,7 @@
 """User-user similarity kernels on a bipartite graph.
 
-Three families, all computed per target user (never as a full m x m matrix):
+Three families, computed for a block of target users at once (never as a
+full m x m matrix):
 
 * diffusion: a unit of resource at the target spreads equally to its
   right-node neighbors, then each right node spreads its share equally back
@@ -10,11 +11,14 @@ Three families, all computed per target user (never as a full m x m matrix):
 * cosine: overlap / sqrt(k(u) * k(v)) on the binary neighbor sets.
 * jaccard: overlap / union size.
 
-Each kernel returns a dense vector over all users; tridiff.recommend turns
-the vectors of the two graphs into object scores.
+Each is one sparse product of the targets' adjacency rows with the
+transposed adjacency; tridiff.recommend turns the rows of the two graphs
+into object scores.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -26,57 +30,27 @@ JACCARD = "jaccard"
 KINDS = (DIFFUSION, COSINE, JACCARD)
 
 
-def diffusion_vector(graph: BipartiteGraph, v: int) -> np.ndarray:
-    """Dense two-step diffusion similarities toward target v (length left_count)."""
-    alphas = graph.left_neighbors(v)
-    kv = len(alphas)
-    if kv == 0:
-        return np.zeros(graph.left_count)
-    right_deg = graph.right_degrees[alphas]
-    users = graph.right_neighbors_flat(alphas)
-    weights = np.repeat(1.0 / (kv * right_deg), right_deg)
-    return np.bincount(users, weights=weights, minlength=graph.left_count)
+def similarity_matrix(graph: BipartiteGraph, users: Sequence[int], kind: str) -> np.ndarray:
+    """Dense (len(users), left_count) array whose row i holds every user's
+    similarity toward users[i]; rows of a target without edges are zero.
 
-
-def overlap_vector(graph: BipartiteGraph, v: int) -> np.ndarray:
-    """Dense neighbor-set overlap counts |G(u) & G(v)| for all u."""
-    alphas = graph.left_neighbors(v)
-    if len(alphas) == 0:
-        return np.zeros(graph.left_count)
-    users = graph.right_neighbors_flat(alphas)
-    return np.bincount(users, minlength=graph.left_count).astype(np.float64)
-
-
-def cosine_vector(graph: BipartiteGraph, v: int) -> np.ndarray:
-    """Dense binary cosine similarities toward target v."""
-    ov = overlap_vector(graph, v)
-    kv = graph.left_degree(v)
-    if kv == 0:
-        return ov
-    nz = ov > 0
-    deg = graph.left_degrees
-    ov[nz] /= np.sqrt(deg[nz] * float(kv))
-    return ov
-
-
-def jaccard_vector(graph: BipartiteGraph, v: int) -> np.ndarray:
-    """Dense Jaccard similarities toward target v."""
-    ov = overlap_vector(graph, v)
-    kv = graph.left_degree(v)
-    if kv == 0:
-        return ov
-    nz = ov > 0
-    deg = graph.left_degrees
-    ov[nz] /= deg[nz] + kv - ov[nz]
-    return ov
-
-
-def similarity_vector(graph: BipartiteGraph, v: int, kind: str) -> np.ndarray:
-    """Dispatch on similarity family name."""
+    Each entry is summed over the shared right nodes in ascending order
+    (scipy's CSR x CSR product follows the row's sorted indices).
+    """
+    if kind not in KINDS:
+        raise ValueError(f"unknown similarity kind: {kind!r}")
+    users = np.asarray(users, dtype=np.intp)
+    rows = graph.matrix[users]
+    k_v = graph.left_degrees[users]
     if kind == DIFFUSION:
-        return diffusion_vector(graph, v)
+        k_v_per_edge = np.repeat(k_v.astype(np.int64), np.diff(rows.indptr))
+        rows.data = 1.0 / (k_v_per_edge * graph.right_degrees[rows.indices])
+    s = (rows @ graph.transposed).toarray()
+    if kind == DIFFUSION:
+        return s
+    deg = graph.left_degrees
     if kind == COSINE:
-        return cosine_vector(graph, v)
-    if kind == JACCARD:
-        return jaccard_vector(graph, v)
-    raise ValueError(f"unknown similarity kind: {kind!r}")
+        denominator = np.sqrt(deg * k_v[:, None].astype(np.float64))
+    else:
+        denominator = deg + k_v[:, None] - s
+    return np.divide(s, denominator, out=s, where=s > 0)

@@ -18,7 +18,7 @@ import pytest
 from tridiff.cli import main as cli_main
 from tridiff.evaluation import ExperimentConfig, lambda_grid, run_experiment
 from tridiff.ingest import core_filter, parse
-from tridiff.similarity import cosine_vector, diffusion_vector, jaccard_vector
+from tridiff.similarity import similarity_matrix
 from tridiff.snapshot import save_dataset
 
 from conftest import (
@@ -43,9 +43,10 @@ def test_conservation_suite():
         rng = np.random.default_rng(2024)
         for _ in range(1000):
             g = random_graph(rng, max_left=200, max_right=200)
+            rows = similarity_matrix(g, np.arange(g.left_count), "diffusion")
             for v in range(g.left_count):
                 if g.left_degree(v) >= 1:
-                    assert abs(diffusion_vector(g, v).sum() - 1.0) < 1e-12
+                    assert abs(rows[v].sum() - 1.0) < 1e-12
 
 
 def test_brute_force_oracle():
@@ -55,12 +56,14 @@ def test_brute_force_oracle():
             g = random_graph(rng, max_left=50, max_right=50)
             S = brute_diffusion_matrix(g)
             neigh = [set(g.left_neighbors(u).tolist()) for u in range(g.left_count)]
+            users = np.arange(g.left_count)
+            rows_d, rows_c, rows_j = (
+                similarity_matrix(g, users, kind) for kind in ("diffusion", "cosine", "jaccard")
+            )
             for v in range(g.left_count):
-                np.testing.assert_allclose(
-                    diffusion_vector(g, v), S[:, v], rtol=0, atol=1e-12
-                )
-                cos = cosine_vector(g, v)
-                jac = jaccard_vector(g, v)
+                np.testing.assert_allclose(rows_d[v], S[:, v], rtol=0, atol=1e-12)
+                cos = rows_c[v]
+                jac = rows_j[v]
                 for u in range(g.left_count):
                     inter = len(neigh[u] & neigh[v])
                     if inter == 0:
@@ -78,7 +81,7 @@ def test_detailed_balance():
         for _ in range(200):
             g = random_graph(rng, max_left=50, max_right=50)
             deg = g.left_degrees
-            rows = np.array([diffusion_vector(g, v) for v in range(g.left_count)])
+            rows = similarity_matrix(g, np.arange(g.left_count), "diffusion")
             # rows[v, u] = s_uv; detailed balance as a matrix identity
             scaled = rows * deg[:, None]
             assert np.abs(scaled - scaled.T).max() < 1e-12
@@ -86,8 +89,8 @@ def test_detailed_balance():
 
 def test_fixture_f1_values(f1_graph):
     with criterion("fixture F1: diffusion rows and asymmetry exact"):
-        assert diffusion_vector(f1_graph, 0).tolist() == [0.5, 0.25, 0.25]
-        assert diffusion_vector(f1_graph, 1).tolist() == [0.5, 0.5, 0.0]
+        assert similarity_matrix(f1_graph, [0], "diffusion")[0].tolist() == [0.5, 0.25, 0.25]
+        assert similarity_matrix(f1_graph, [1], "diffusion")[0].tolist() == [0.5, 0.5, 0.0]
 
 
 def test_metric_identity_synthetic():

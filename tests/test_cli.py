@@ -171,7 +171,9 @@ class TestSweep:
     @pytest.mark.parametrize(
         "flag, value",
         [("--lambda-step", "0"), ("--lambda-step", "-0.1"), ("--lambda-step", "nan"),
-         ("--lambda-max", "inf"), ("--lambda-step", "1e-12")],
+         ("--lambda-max", "inf"), ("--lambda-step", "1e-12"),
+         ("--train-frac", "0"), ("--train-frac", "1.5"), ("--train-frac", "nan"),
+         ("--L", "10,10")],
     )
     def test_bad_lambda_grid_exit_2(self, snapshot_dir, capsys, flag, value):
         rc = main(["sweep", "--out", str(snapshot_dir), "--runs", "1", flag, value])

@@ -229,6 +229,10 @@ class TestConfig:
             {"lambda_grid": (0.0, 1.5)},
             {"lambda_grid": ()},
             {"list_lengths": (0,)},
+            {"train_fraction": 0.0},
+            {"train_fraction": 1.5},
+            {"train_fraction": float("nan")},
+            {"list_lengths": (10, 10)},
         ],
     )
     def test_rejects_bad_config(self, kwargs):

@@ -74,15 +74,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class InputFileError(Exception):
+    """An input file that cannot be read as UTF-8 text."""
+
+
+def _lines(label: str, path: str):
+    """The lines of a UTF-8 text file; one that cannot be opened or decoded
+    raises InputFileError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputFileError(f"cannot read {label} file {path}: {exc}") from exc
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
-    for label, path in (("objects", args.objects), ("tags", args.tags)):
-        if not Path(path).is_file():
-            print(f"error: cannot read {label} file {path}", file=sys.stderr)
-            return 1
-    with open(args.objects, encoding="utf-8") as obj_fh, open(
-        args.tags, encoding="utf-8"
-    ) as tag_fh:
-        records = ingest.parse(obj_fh, tag_fh, rating_threshold=args.rating_threshold)
+    records = ingest.parse(
+        _lines("objects", args.objects),
+        _lines("tags", args.tags),
+        rating_threshold=args.rating_threshold,
+    )
+    for stream, line in records.headers.items():
+        print(f"note: {stream} line 1 skipped as a header: {line!r}", file=sys.stderr)
     for err in records.errors:
         print(
             f"warning: {err.stream} line {err.line_number}: {err.reason}",
@@ -220,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"ingest": cmd_ingest, "sweep": cmd_sweep, "recommend": cmd_recommend}
     try:
         return handlers[args.command](args)
-    except snapshot.SnapshotError as exc:
+    except (InputFileError, snapshot.SnapshotError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

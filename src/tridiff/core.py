@@ -30,13 +30,10 @@ class EntityIndexMap:
     @classmethod
     def from_ids(cls, ids: Iterable[str]) -> "EntityIndexMap":
         """Build a map assigning dense indices in first-seen order."""
-        ordered: list[str] = []
         index: dict[str, int] = {}
         for ext in ids:
-            if ext not in index:
-                index[ext] = len(ordered)
-                ordered.append(ext)
-        return cls(external_ids=tuple(ordered), index_of=index)
+            index.setdefault(ext, len(index))
+        return cls(external_ids=tuple(index), index_of=index)
 
     def __len__(self) -> int:
         return len(self.external_ids)
@@ -104,10 +101,6 @@ class BipartiteGraph:
         lexicographically (the row-major order of the canonical CSR)."""
         coo = self._csr.tocoo()
         return np.column_stack((coo.row, coo.col))
-
-    def edges(self) -> list[tuple[int, int]]:
-        """The rows of edge_array() as (left, right) pairs."""
-        return list(map(tuple, self.edge_array().tolist()))
 
 
 def build_graph(

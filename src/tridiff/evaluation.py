@@ -77,6 +77,8 @@ class ExperimentConfig:
             raise ValueError("list lengths must be >= 1")
         if len(set(self.list_lengths)) != len(self.list_lengths):
             raise ValueError(f"list lengths must be distinct, got {self.list_lengths}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
 
 
 @dataclass(frozen=True)
@@ -99,13 +101,6 @@ class MetricsReport:
     optima: dict[str, tuple[float, float]]
 
 
-def _test_pairs_by_user(evaluation_split: EvaluationSplit) -> dict[int, list[int]]:
-    by_user: dict[int, list[int]] = {}
-    for u, alpha in sorted(evaluation_split.test_edges):
-        by_user.setdefault(u, []).append(alpha)
-    return by_user
-
-
 def evaluate_split(
     evaluation_split: EvaluationSplit,
     kind: str,
@@ -114,9 +109,11 @@ def evaluate_split(
 ) -> dict[float, CellMetrics]:
     """Ranking score, Recall@L and Precision@L of one split at every lambda.
 
-    Raises UndefinedMetricError when the split has no test pair.
+    Each distinct test pair counts once. Raises UndefinedMetricError when the
+    split has no test pair.
     """
-    n_p = evaluation_split.test_count
+    pairs = np.unique(evaluation_split.test_edges, axis=0)  # by user, then object
+    n_p = len(pairs)
     if n_p == 0:
         raise UndefinedMetricError("metrics are undefined for an empty test set")
 
@@ -126,14 +123,14 @@ def evaluate_split(
     rank_sums = np.zeros(len(lambda_grid))
     hit_sums = np.zeros((len(lambda_grid), len(list_lengths)), dtype=np.int64)
 
-    by_user = _test_pairs_by_user(evaluation_split)
-    users = sorted(by_user)
+    users, starts = np.unique(pairs[:, 0], return_index=True)
+    test_objects = np.split(pairs[:, 1], starts[1:])
     for start in range(0, len(users), BLOCK_USERS):
         block = users[start : start + BLOCK_USERS]
         p_obj, p_tag = scorer.channel_scores(block)
-        for i, v in enumerate(block):
+        for i, v in enumerate(block.tolist()):
             ranks, hits = scorer.sweep_stats(
-                p_obj[i], p_tag[i], v, by_user[v], lambda_grid, list_lengths
+                p_obj[i], p_tag[i], v, test_objects[start + i], lambda_grid, list_lengths
             )
             rank_sums += np.cumsum(ranks, axis=0)[-1]  # in test-object order
             hit_sums += hits

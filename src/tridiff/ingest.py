@@ -10,17 +10,12 @@ edges only; all user-tag edges stay in training.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .core import (
-    BipartiteGraph,
-    EntityIndexMap,
-    TripartiteDataset,
-    build_graph,
-)
+from .core import EntityIndexMap, TripartiteDataset, build_graph
 
 logger = logging.getLogger(__name__)
 
@@ -35,26 +30,28 @@ class ParseError:
     reason: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class RawRecords:
-    """Parsed events before filtering. Ratings, when present, lie in [1, 5]."""
+    """Accepted events in file order, as (E, 2) int64 arrays of (user, object)
+    and (user, tag) indices; ratings and tag lines' objects are not kept.
+    Ids are indexed when first seen: users over the object events, then the
+    tag events. headers maps "objects" or "tags" to a line 1 skipped as a header."""
 
-    object_events: list[tuple[str, str, float | None]] = field(default_factory=list)
-    tag_events: list[tuple[str, str | None, str]] = field(default_factory=list)
-    errors: list[ParseError] = field(default_factory=list)
+    users: EntityIndexMap
+    objects: EntityIndexMap
+    tags: EntityIndexMap
+    object_events: np.ndarray
+    tag_events: np.ndarray
+    errors: tuple[ParseError, ...]
+    headers: dict[str, str]
 
 
 @dataclass(frozen=True)
 class EvaluationSplit:
-    """Training dataset plus held-out user-object test edges."""
+    """Training dataset plus the held-out user-object edges, an (E, 2) array."""
 
     training: TripartiteDataset
-    test_edges: frozenset[tuple[int, int]]
-    seed: int
-
-    @property
-    def test_count(self) -> int:
-        return len(self.test_edges)
+    test_edges: np.ndarray
 
 
 def _is_number(token: str) -> bool:
@@ -73,7 +70,9 @@ def _detect_delimiter(first_line: str) -> str:
     return ","
 
 
-def _iter_rows(lines: Iterable[str]):
+def _iter_rows(stream: str, lines: Iterable[str], headers: dict[str, str]):
+    """(line number, line, fields) of each non-blank line. A line 1 whose
+    first field is not a number is recorded in headers instead."""
     delim: str | None = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n").rstrip("\r")
@@ -82,8 +81,9 @@ def _iter_rows(lines: Iterable[str]):
         if delim is None:
             delim = _detect_delimiter(line)
         fields = [f.strip() for f in line.split(delim)]
-        if lineno == 1 and fields and not _is_number(fields[0]):
-            continue  # header
+        if lineno == 1 and not _is_number(fields[0]):
+            headers[stream] = line
+            continue
         yield lineno, line, fields
 
 
@@ -94,60 +94,60 @@ def parse(
 ) -> RawRecords:
     """Parse both event streams; rating events below the threshold are dropped.
 
-    Malformed lines are collected into ``records.errors`` with line numbers
-    instead of raising. Tag strings are trimmed and lowercased.
+    Ratings, when present, must lie in [0.5, 5]. Malformed lines are
+    collected into ``records.errors`` with line numbers instead of raising.
+    Tag strings are trimmed and lowercased.
     """
-    records = RawRecords()
+    users: dict[str, int] = {}
+    objects: dict[str, int] = {}
+    tags: dict[str, int] = {}
+    object_codes: list[int] = []  # user, object, user, object, ...
+    tag_codes: list[int] = []  # user, tag, user, tag, ...
+    errors: list[ParseError] = []
+    headers: dict[str, str] = {}
 
-    for lineno, line, fields in _iter_rows(object_stream):
+    for lineno, line, fields in _iter_rows("objects", object_stream, headers):
         if len(fields) < 2:
-            records.errors.append(
+            errors.append(
                 ParseError("objects", lineno, line, "expected at least user and object")
             )
             continue
-        user, obj = fields[0], fields[1]
-        rating: float | None = None
         if len(fields) >= 3 and fields[2] != "":
             if not _is_number(fields[2]):
-                records.errors.append(
-                    ParseError("objects", lineno, line, f"bad rating {fields[2]!r}")
-                )
+                errors.append(ParseError("objects", lineno, line, f"bad rating {fields[2]!r}"))
                 continue
             rating = float(fields[2])
-            if not 1.0 <= rating <= 5.0:
-                records.errors.append(
-                    ParseError("objects", lineno, line, f"rating {rating} outside [1, 5]")
+            if not 0.5 <= rating <= 5.0:
+                errors.append(
+                    ParseError("objects", lineno, line, f"rating {rating} outside [0.5, 5]")
                 )
                 continue
-        if rating is not None and rating < rating_threshold:
-            continue
-        records.object_events.append((user, obj, rating))
+            if rating < rating_threshold:
+                continue
+        object_codes.append(users.setdefault(fields[0], len(users)))
+        object_codes.append(objects.setdefault(fields[1], len(objects)))
 
-    for lineno, line, fields in _iter_rows(tag_stream):
+    for lineno, line, fields in _iter_rows("tags", tag_stream, headers):
         if len(fields) < 2:
-            records.errors.append(
-                ParseError("tags", lineno, line, "expected at least user and tag")
-            )
+            errors.append(ParseError("tags", lineno, line, "expected at least user and tag"))
             continue
-        user = fields[0]
         # 2 columns: user, tag. 3+ columns: user, object, tag[, timestamp].
-        if len(fields) == 2:
-            obj, tag = None, fields[1]
-        else:
-            obj, tag = fields[1], fields[2]
-        tag = tag.strip().lower()
+        tag = fields[1 if len(fields) == 2 else 2].lower()
         if not tag:
-            records.errors.append(ParseError("tags", lineno, line, "empty tag"))
+            errors.append(ParseError("tags", lineno, line, "empty tag"))
             continue
-        records.tag_events.append((user, obj, tag))
+        tag_codes.append(users.setdefault(fields[0], len(users)))
+        tag_codes.append(tags.setdefault(tag, len(tags)))
 
-    return records
-
-
-def _coded(ids: list[str]) -> tuple[EntityIndexMap, np.ndarray]:
-    """Index map of ids in first-seen order, and the index of each id."""
-    index = EntityIndexMap.from_ids(ids)
-    return index, np.fromiter(map(index.index_of.__getitem__, ids), np.int64, len(ids))
+    return RawRecords(
+        users=EntityIndexMap(tuple(users), users),
+        objects=EntityIndexMap(tuple(objects), objects),
+        tags=EntityIndexMap(tuple(tags), tags),
+        object_events=np.array(object_codes, dtype=np.int64).reshape(-1, 2),
+        tag_events=np.array(tag_codes, dtype=np.int64).reshape(-1, 2),
+        errors=tuple(errors),
+        headers=headers,
+    )
 
 
 def _relabel(index: EntityIndexMap, codes: np.ndarray) -> tuple[EntityIndexMap, np.ndarray]:
@@ -169,17 +169,12 @@ def core_filter(records: RawRecords) -> TripartiteDataset:
     first object event (even one whose object is dropped), objects and tags
     by their first event that survives.
     """
-    n_obj_events = len(records.object_events)
-    users, user_codes = _coded(
-        [u for u, _o, _r in records.object_events] + [u for u, _o, _t in records.tag_events]
-    )
-    obj_users, tag_users = user_codes[:n_obj_events], user_codes[n_obj_events:]
-    objects, obj_codes = _coded([o for _u, o, _r in records.object_events])
-    tags, tag_codes = _coded([t for _u, _o, t in records.tag_events])
-    A = build_graph(np.column_stack((obj_users, obj_codes)), len(users), len(objects)).matrix
-    T = build_graph(np.column_stack((tag_users, tag_codes)), len(users), len(tags)).matrix
+    obj_users, obj_codes = records.object_events.T
+    tag_users, tag_codes = records.tag_events.T
+    A = build_graph(records.object_events, len(records.users), len(records.objects)).matrix
+    T = build_graph(records.tag_events, len(records.users), len(records.tags)).matrix
 
-    live = np.ones(len(users), dtype=bool)
+    live = np.ones(len(records.users), dtype=bool)
     while True:
         live_obj = A.T @ live >= 2
         live_tag = T.T @ live >= 2
@@ -190,9 +185,9 @@ def core_filter(records: RawRecords) -> TripartiteDataset:
 
     obj_kept = live[obj_users] & live_obj[obj_codes]
     tag_kept = live[tag_users] & live_tag[tag_codes]
-    user_map, new_user = _relabel(users, obj_users[live[obj_users]])
-    object_map, new_obj = _relabel(objects, obj_codes[obj_kept])
-    tag_map, new_tag = _relabel(tags, tag_codes[tag_kept])
+    user_map, new_user = _relabel(records.users, obj_users[live[obj_users]])
+    object_map, new_obj = _relabel(records.objects, obj_codes[obj_kept])
+    tag_map, new_tag = _relabel(records.tags, tag_codes[tag_kept])
     uo_edges = np.column_stack((new_user[obj_users[obj_kept]], new_obj[obj_codes[obj_kept]]))
     ut_edges = np.column_stack((new_user[tag_users[tag_kept]], new_tag[tag_codes[tag_kept]]))
 
@@ -225,7 +220,7 @@ def split(dataset: TripartiteDataset, train_fraction: float, seed: int) -> Evalu
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(edges))
     train_edges = edges[perm[:n_train]]
-    test_edges = frozenset(map(tuple, edges[perm[n_train:]].tolist()))
+    test_edges = edges[np.sort(perm[n_train:])]
 
     training = TripartiteDataset(
         users=dataset.users,
@@ -236,4 +231,4 @@ def split(dataset: TripartiteDataset, train_fraction: float, seed: int) -> Evalu
         ),
         user_tag=dataset.user_tag,
     )
-    return EvaluationSplit(training=training, test_edges=test_edges, seed=seed)
+    return EvaluationSplit(training=training, test_edges=test_edges)

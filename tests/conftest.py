@@ -53,7 +53,7 @@ def random_graph(rng: np.random.Generator, max_left=50, max_right=50) -> Biparti
 def dense_adjacency(graph: BipartiteGraph) -> np.ndarray:
     """Independent dense 0/1 matrix built from the edge list alone."""
     A = np.zeros((graph.left_count, graph.right_count))
-    for u, x in graph.edges():
+    for u, x in graph.edge_array().tolist():
         A[u, x] = 1.0
     return A
 

@@ -130,7 +130,7 @@ def test_ranks_example_third_of_hundred():
         uo += [(2, 0), (2, 1), (2, 2)]
         uo += [(3, 0), (3, 1)]
         ds = make_dataset(uo, [(u, 0) for u in range(4)], 4, 101, 1)
-        split = EvaluationSplit(training=ds, test_edges=frozenset({(0, 3)}), seed=0)
+        split = EvaluationSplit(training=ds, test_edges=np.array([[0, 3]]))
         cell = evaluate_split(split, "diffusion", (1.0,), ())[1.0]
         assert cell.rank_score == 0.03
 

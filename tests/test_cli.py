@@ -72,6 +72,29 @@ class TestIngest:
         assert rc != 0
         assert "cannot read" in capsys.readouterr().err
 
+    def test_header_lines_noted(self, data_files, tmp_path, capsys):
+        objects, tags = data_files
+        rc = main(
+            ["ingest", "--objects", str(objects), "--tags", str(tags),
+             "--out", str(tmp_path / "out")]
+        )
+        assert rc == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "note: objects line 1 skipped as a header: 'userId\\tmovieId\\trating'",
+            "note: tags line 1 skipped as a header: 'userId\\tmovieId\\ttag'",
+        ]
+
+    def test_file_not_utf8(self, data_files, tmp_path, capsys):
+        objects, tags = data_files
+        objects.write_bytes(OBJECT_LINES.encode() + b"4\t10\xff\t5\n")
+        out = tmp_path / "out"
+        rc = main(["ingest", "--objects", str(objects), "--tags", str(tags), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: cannot read objects file {objects}:")
+        assert not (out / SNAPSHOT_NAME).exists()
+
     def test_empty_after_filter(self, tmp_path, capsys):
         objects = tmp_path / "o.tsv"
         tags = tmp_path / "t.tsv"
@@ -173,7 +196,7 @@ class TestSweep:
         [("--lambda-step", "0"), ("--lambda-step", "-0.1"), ("--lambda-step", "nan"),
          ("--lambda-max", "inf"), ("--lambda-step", "1e-12"),
          ("--train-frac", "0"), ("--train-frac", "1.5"), ("--train-frac", "nan"),
-         ("--L", "10,10")],
+         ("--L", "10,10"), ("--seed", "-1")],
     )
     def test_bad_lambda_grid_exit_2(self, snapshot_dir, capsys, flag, value):
         rc = main(["sweep", "--out", str(snapshot_dir), "--runs", "1", flag, value])

@@ -23,7 +23,7 @@ from tridiff.snapshot import save_dataset
 from conftest import make_dataset, random_tripartite
 
 
-def rank_third_setup(n=101, test_edges=frozenset({(0, 3)})):
+def rank_third_setup(n=101, test_edges=((0, 3),)):
     """Target u0 with n - 1 uncollected objects; objects 1, 2 and 3 are
     scored uniquely first, second and third, and 3 is held out."""
     uo = [(0, 0)]
@@ -31,8 +31,8 @@ def rank_third_setup(n=101, test_edges=frozenset({(0, 3)})):
     uo += [(2, 0), (2, 1), (2, 2)]
     uo += [(3, 0), (3, 1)]
     ds = make_dataset(uo, [(u, 0) for u in range(4)], 4, n, 1)
-    split = EvaluationSplit(training=ds, test_edges=test_edges, seed=0)
-    return ds, split
+    test_edges = np.array(test_edges, dtype=np.int64).reshape(-1, 2)
+    return ds, EvaluationSplit(training=ds, test_edges=test_edges)
 
 
 def object_channel_cell(split, L=()):
@@ -48,14 +48,14 @@ class TestRankOfTestPairs:
     def test_unique_top_of_ten(self):
         uo = [(0, 0), (1, 0), (1, 1)]
         ds = make_dataset(uo, [(0, 0), (1, 0)], 2, 11, 1)
-        split = EvaluationSplit(training=ds, test_edges=frozenset({(0, 1)}), seed=0)
+        split = EvaluationSplit(training=ds, test_edges=np.array([[0, 1]]))
         assert object_channel_cell(split).rank_score == 0.1
 
     def test_zero_score_block_midrank(self):
         # target has no training edges at all: every uncollected object ties
         # at score zero and gets the midrank 5.5 of 10
         ds = make_dataset([(1, 0)], [(1, 0)], 2, 10, 1)
-        split = EvaluationSplit(training=ds, test_edges=frozenset({(0, 4)}), seed=0)
+        split = EvaluationSplit(training=ds, test_edges=np.array([[0, 4]]))
         assert object_channel_cell(split).rank_score == 0.55
 
     def test_midrank_equals_enumeration(self):
@@ -175,11 +175,18 @@ class TestRankingScore:
 
     def test_mean(self):
         # ranks 0.1 (object 1) and 0.3 (object 3) among 10 uncollected
-        _, split = rank_third_setup(n=11, test_edges=frozenset({(0, 1), (0, 3)}))
+        _, split = rank_third_setup(n=11, test_edges=((0, 1), (0, 3)))
         assert object_channel_cell(split).rank_score == pytest.approx(0.2, abs=1e-15)
 
+    @pytest.mark.parametrize("test_edges", [((0, 3), (0, 1)), ((0, 3), (0, 1), (0, 3))])
+    def test_row_order_and_repeats_ignored(self, test_edges):
+        # each distinct pair counts once, summed in (user, object) order
+        _, expected = rank_third_setup(n=11, test_edges=((0, 1), (0, 3)))
+        _, split = rank_third_setup(n=11, test_edges=test_edges)
+        assert object_channel_cell(split) == object_channel_cell(expected)
+
     def test_empty_raises(self):
-        _, split = rank_third_setup(test_edges=frozenset())
+        _, split = rank_third_setup(test_edges=())
         with pytest.raises(UndefinedMetricError):
             object_channel_cell(split)
 
@@ -194,7 +201,7 @@ class TestRecallPrecision:
 
     def test_no_hits(self):
         ds, _ = rank_third_setup()
-        split = EvaluationSplit(training=ds, test_edges=frozenset({(0, 50)}), seed=0)
+        split = EvaluationSplit(training=ds, test_edges=np.array([[0, 50]]))
         cell = object_channel_cell(split, L=(10,))
         r, p = cell.recall[10], cell.precision[10]
         assert r == 0.0 and p == 0.0
@@ -202,13 +209,13 @@ class TestRecallPrecision:
     def test_zero_score_object_never_hit(self):
         # the held-out object ties at zero: even L > n must not count it
         ds = make_dataset([(1, 0)], [(1, 0)], 2, 10, 1)
-        split = EvaluationSplit(training=ds, test_edges=frozenset({(0, 4)}), seed=0)
+        split = EvaluationSplit(training=ds, test_edges=np.array([[0, 4]]))
         r = object_channel_cell(split, L=(10,)).recall[10]
         assert r == 0.0
 
     def test_empty_test_set_raises(self):
         ds, _ = rank_third_setup()
-        split = EvaluationSplit(training=ds, test_edges=frozenset(), seed=0)
+        split = EvaluationSplit(training=ds, test_edges=np.empty((0, 2), np.int64))
         with pytest.raises(UndefinedMetricError):
             object_channel_cell(split, L=(10,))
 
@@ -233,6 +240,7 @@ class TestConfig:
             {"train_fraction": 1.5},
             {"train_fraction": float("nan")},
             {"list_lengths": (10, 10)},
+            {"base_seed": -1},
         ],
     )
     def test_rejects_bad_config(self, kwargs):

@@ -121,7 +121,7 @@ class TestListsMatchEvaluation:
         listed_hits = 0
         # a short grid compares fused scores directly, a long one uses crossing points
         for grid in ((0.0, 0.5, 1.0), lambda_grid(0.0, 1.0, 0.05)):
-            for v, alpha in sorted(evaluation_split.test_edges):
+            for v, alpha in evaluation_split.test_edges.tolist():
                 p_obj, p_tag = (p[0] for p in scorer.channel_scores([v]))
                 _, hits = scorer.sweep_stats(p_obj, p_tag, v, [alpha], grid, (5, 10))
                 for g, lam in enumerate(grid):
@@ -180,8 +180,8 @@ def edge_cases(draw):
         rng, m, n, r,
         obj_density=draw(st.floats(0.02, 0.6)), tag_density=draw(st.floats(0.02, 0.6)),
     )
-    uo = [(u, x) for u, x in full.user_object.edges() if u not in (0, 2)]
-    ut = [(u, t) for u, t in full.user_tag.edges() if u not in (1, 2)]
+    uo = [(u, x) for u, x in full.user_object.edge_array().tolist() if u not in (0, 2)]
+    ut = [(u, t) for u, t in full.user_tag.edge_array().tolist() if u not in (1, 2)]
     dataset = make_dataset(uo, ut, m, n, r)
     training = split(dataset, draw(st.sampled_from((0.5, 0.9, 1.0))), draw(st.integers(0, 9)))
     block = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))

@@ -24,8 +24,8 @@ def test_round_trip(dataset, tmp_path):
     save_dataset(dataset, tmp_path)
     again = load_dataset(tmp_path)
     assert again.users.external_ids == dataset.users.external_ids
-    assert again.user_object.edges() == dataset.user_object.edges()
-    assert again.user_tag.edges() == dataset.user_tag.edges()
+    assert again.user_object.edge_array().tolist() == dataset.user_object.edge_array().tolist()
+    assert again.user_tag.edge_array().tolist() == dataset.user_tag.edge_array().tolist()
     assert [p.name for p in tmp_path.iterdir()] == [SNAPSHOT_NAME]
 
 
@@ -133,8 +133,8 @@ def _contents(dataset):
         dataset.users.external_ids,
         dataset.objects.external_ids,
         dataset.tags.external_ids,
-        dataset.user_object.edges(),
-        dataset.user_tag.edges(),
+        dataset.user_object.edge_array().tolist(),
+        dataset.user_tag.edge_array().tolist(),
     )
 
 

@@ -9,7 +9,7 @@ cosine similarities. Lower is better; lambda=1 ignores tags entirely.
 import numpy as np
 
 from tridiff.core import EntityIndexMap, TripartiteDataset, build_graph
-from tridiff.evaluation import ExperimentConfig, run_experiment
+from tridiff.evaluation import ExperimentConfig, run_sweep
 
 rng = np.random.default_rng(7)
 m, n, r = 400, 600, 200
@@ -44,15 +44,14 @@ dataset = TripartiteDataset(
 
 grid = tuple(round(0.1 * i, 10) for i in range(11))
 print("lambda  diffusion  cosine")
-reports = {}
-for kind in ("diffusion", "cosine"):
-    reports[kind] = run_experiment(
-        dataset,
-        ExperimentConfig(
-            similarity_kind=kind, lambda_grid=grid, runs=3,
-            train_fraction=0.9, list_lengths=(10, 20), base_seed=1,
-        ),
-    )
+# both kinds are scored on the same three splits
+reports = run_sweep(
+    dataset,
+    ExperimentConfig(
+        similarity_kinds=("diffusion", "cosine"), lambda_grid=grid, runs=3,
+        train_fraction=0.9, list_lengths=(10, 20), base_seed=1,
+    ),
+)
 for lam in grid:
     d = reports["diffusion"].means[lam]["rank_score"]
     c = reports["cosine"].means[lam]["rank_score"]

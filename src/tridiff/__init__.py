@@ -12,7 +12,7 @@ from .evaluation import (
     MetricsReport,
     UndefinedMetricError,
     evaluate_split,
-    run_experiment,
+    run_sweep,
 )
 from .ingest import EvaluationSplit, RawRecords, core_filter, parse, split
 from .recommend import Scorer
@@ -34,6 +34,6 @@ __all__ = [
     "core_filter",
     "evaluate_split",
     "parse",
-    "run_experiment",
+    "run_sweep",
     "split",
 ]

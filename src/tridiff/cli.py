@@ -21,11 +21,7 @@ def _float_fmt(x: float) -> str:
 
 
 def _parse_kinds(value: str) -> list[str]:
-    kinds = [k.strip() for k in value.split(",") if k.strip()]
-    for k in kinds:
-        if k not in similarity.KINDS:
-            raise argparse.ArgumentTypeError(f"unknown similarity kind: {k!r}")
-    return kinds
+    return [k.strip() for k in value.split(",") if k.strip()]
 
 
 def _parse_int_list(value: str) -> list[int]:
@@ -62,7 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--train-frac", type=float, default=0.9)
     p_sweep.add_argument("--L", type=_parse_int_list, default=[10, 20])
-    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_rec = sub.add_parser("recommend", help="print a top-L list for one user")
     p_rec.add_argument("--out", required=True, help="snapshot directory")
@@ -89,11 +84,15 @@ def _lines(label: str, path: str):
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    records = ingest.parse(
-        _lines("objects", args.objects),
-        _lines("tags", args.tags),
-        rating_threshold=args.rating_threshold,
-    )
+    try:
+        records = ingest.parse(
+            _lines("objects", args.objects),
+            _lines("tags", args.tags),
+            rating_threshold=args.rating_threshold,
+        )
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     for stream, line in records.headers.items():
         print(f"note: {stream} line 1 skipped as a header: {line!r}", file=sys.stderr)
     for err in records.errors:
@@ -114,50 +113,29 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def write_cells_csv(report: MetricsReport, kind: str, path: Path) -> None:
-    lengths = report.config.list_lengths
-    header = ["similarity", "lambda", "run"]
-    header += ["rank_score"]
-    header += [f"recall@{L}" for L in lengths]
-    header += [f"precision@{L}" for L in lengths]
-    lines = [",".join(header)]
-    for (lam, run), cell in sorted(report.per_cell.items()):
-        row = [kind, _float_fmt(lam), str(run), _float_fmt(cell.rank_score)]
-        row += [_float_fmt(cell.recall[L]) for L in lengths]
-        row += [_float_fmt(cell.precision[L]) for L in lengths]
-        lines.append(",".join(row))
+def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
+    lines = [",".join(row) for row in [header, *rows]]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_summary(report: MetricsReport, kind: str, out: Path, fmt: str) -> None:
-    lengths = report.config.list_lengths
-    if fmt == "json":
-        payload = {
-            "similarity": kind,
-            "means": {_float_fmt(lam): vals for lam, vals in sorted(report.means.items())},
-            "optima": {
-                metric: {"lambda": lam, "value": value}
-                for metric, (lam, value) in report.optima.items()
-            },
-        }
-        with (out / f"summary_{kind}.json").open("w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-        return
-    metrics = ["rank_score"]
-    metrics += [f"recall@{L}" for L in lengths]
-    metrics += [f"precision@{L}" for L in lengths]
-    lines = [",".join(["similarity", "lambda"] + metrics)]
-    for lam in sorted(report.means):
-        row = [kind, _float_fmt(lam)]
-        row += [_float_fmt(report.means[lam][m]) for m in metrics]
-        lines.append(",".join(row))
-    (out / f"summary_{kind}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    opt_lines = ["metric,lambda,value"]
-    for metric in metrics:
-        if metric in report.optima:
-            lam, value = report.optima[metric]
-            opt_lines.append(f"{metric},{_float_fmt(lam)},{_float_fmt(value)}")
-    (out / f"optima_{kind}.csv").write_text("\n".join(opt_lines) + "\n", encoding="utf-8")
+def write_reports(report: MetricsReport, kind: str, out: Path) -> None:
+    """sweep_<kind>.csv (one row per cell), summary_<kind>.csv (per-lambda
+    means) and optima_<kind>.csv (the best lambda of each metric)."""
+    names = evaluation.metric_names(report.config.list_lengths)
+    cells = [
+        [kind, _float_fmt(lam), str(run), *map(_float_fmt, cell.values())]
+        for (lam, run), cell in sorted(report.per_cell.items())
+    ]
+    _write_csv(out / f"sweep_{kind}.csv", ["similarity", "lambda", "run", *names], cells)
+    means = [
+        [kind, _float_fmt(lam), *(_float_fmt(report.means[lam][name]) for name in names)]
+        for lam in sorted(report.means)
+    ]
+    _write_csv(out / f"summary_{kind}.csv", ["similarity", "lambda", *names], means)
+    optima = [
+        [name, *map(_float_fmt, report.optima[name])] for name in names if name in report.optima
+    ]
+    _write_csv(out / f"optima_{kind}.csv", ["metric", "lambda", "value"], optima)
 
 
 def _load_snapshot(out: Path) -> TripartiteDataset:
@@ -175,24 +153,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             grid = (args.lambda_,)
         else:
             grid = evaluation.lambda_grid(args.lambda_min, args.lambda_max, args.lambda_step)
-        configs = {
-            kind: ExperimentConfig(
-                similarity_kind=kind,
-                lambda_grid=grid,
-                runs=args.runs,
-                train_fraction=args.train_frac,
-                list_lengths=tuple(args.L),
-                base_seed=args.seed,
-            )
-            for kind in args.similarity
-        }
+        config = ExperimentConfig(
+            similarity_kinds=tuple(args.similarity),
+            lambda_grid=grid,
+            runs=args.runs,
+            train_fraction=args.train_frac,
+            list_lengths=tuple(args.L),
+            base_seed=args.seed,
+        )
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    for kind, config in configs.items():
-        report = evaluation.run_experiment(dataset, config)
-        write_cells_csv(report, kind, out / f"sweep_{kind}.csv")
-        write_summary(report, kind, out, args.format)
+    for kind, report in evaluation.run_sweep(dataset, config).items():
+        write_reports(report, kind, out)
         for (lam, run), reason in sorted(report.cell_errors.items()):
             print(
                 f"warning: {kind} lambda={lam} run={run}: {reason}", file=sys.stderr

@@ -1,5 +1,6 @@
 """Experimental protocol: ranking score, Recall@L, Precision@L over seeded
-random splits and a lambda sweep.
+random splits and a lambda sweep. Every similarity kind of a sweep is scored
+on the same splits.
 
 Ranking convention: for a held-out (user, object) pair the object is ranked
 among ALL objects the user did not collect in training, by descending
@@ -50,9 +51,14 @@ def lambda_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
     return tuple(round(lo + i * step, 10) for i in range(count + 1))
 
 
+def metric_names(list_lengths: Sequence[int]) -> list[str]:
+    """The metric columns of a sweep, in report order."""
+    return ["rank_score"] + [f"{m}@{L}" for m in ("recall", "precision") for L in list_lengths]
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    similarity_kind: str = DIFFUSION
+    similarity_kinds: tuple[str, ...] = (DIFFUSION,)
     lambda_grid: tuple[float, ...] = field(
         default_factory=functools.partial(lambda_grid, 0.0, 1.0, 0.02)
     )
@@ -62,8 +68,9 @@ class ExperimentConfig:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.similarity_kind not in KINDS:
-            raise ValueError(f"unknown similarity kind: {self.similarity_kind!r}")
+        kinds = tuple(self.similarity_kinds)
+        if not kinds or len(set(kinds)) != len(kinds) or not set(kinds) <= set(KINDS):
+            raise ValueError(f"similarity kinds must be distinct ones of {KINDS}, got {kinds}")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         grid = tuple(self.lambda_grid)
@@ -90,6 +97,10 @@ class CellMetrics:
     precision: dict[int, float]
     hits: dict[int, int]
     n_p: int
+
+    def values(self) -> list[float]:
+        """The cell's metrics in metric_names order."""
+        return [self.rank_score, *self.recall.values(), *self.precision.values()]
 
 
 @dataclass(frozen=True)
@@ -148,59 +159,55 @@ def evaluate_split(
     return cells
 
 
-def run_experiment(dataset: TripartiteDataset, config: ExperimentConfig) -> MetricsReport:
-    """Full protocol: seeded splits, lambda sweep, per-run metrics, means, optima.
+def _report(
+    config: ExperimentConfig,
+    per_cell: dict[tuple[float, int], CellMetrics],
+    cell_errors: dict[tuple[float, int], str],
+) -> MetricsReport:
+    """Per-lambda means over runs, and the lambda that optimises each mean:
+    the lowest rank score, the highest recall and precision, ties to the
+    smaller lambda."""
+    names = metric_names(config.list_lengths)
+    means: dict[float, dict[str, float]] = {}
+    for lam in config.lambda_grid:
+        cells = [per_cell[(lam, r)] for r in range(config.runs) if (lam, r) in per_cell]
+        if cells:
+            columns = zip(*(cell.values() for cell in cells))
+            means[lam] = {name: float(np.mean(col)) for name, col in zip(names, columns)}
+
+    optima: dict[str, tuple[float, float]] = {}
+    if means:
+        lams = sorted(means)
+        for name in names:
+            sign = 1 if name == "rank_score" else -1
+            best = min(lams, key=lambda lam: (sign * means[lam][name], lam))
+            optima[name] = (best, means[best][name])
+    return MetricsReport(config, per_cell, cell_errors, means, optima)
+
+
+def run_sweep(dataset: TripartiteDataset, config: ExperimentConfig) -> dict[str, MetricsReport]:
+    """Full protocol: seeded splits, lambda sweep, per-run metrics, means,
+    optima. Each run draws one split and scores every kind on it; the
+    reports are keyed by kind in config order.
 
     Deterministic given the config.
     """
     if dataset.is_empty:
         raise ValueError("dataset is empty")
 
-    per_cell: dict[tuple[float, int], CellMetrics] = {}
+    per_cell: dict[str, dict[tuple[float, int], CellMetrics]] = {
+        kind: {} for kind in config.similarity_kinds
+    }
     cell_errors: dict[tuple[float, int], str] = {}
     for run in range(config.runs):
         evaluation_split = split(dataset, config.train_fraction, config.base_seed + run)
-        try:
-            cells = evaluate_split(
-                evaluation_split,
-                config.similarity_kind,
-                config.lambda_grid,
-                config.list_lengths,
+        if len(evaluation_split.test_edges) == 0:
+            cell_errors.update(((lam, run), "empty test set") for lam in config.lambda_grid)
+            continue
+        for kind, cells in per_cell.items():
+            scored = evaluate_split(
+                evaluation_split, kind, config.lambda_grid, config.list_lengths
             )
-        except UndefinedMetricError:
-            for lam in config.lambda_grid:
-                cell_errors[(lam, run)] = "empty test set"
-            continue
-        for lam, cell in cells.items():
-            per_cell[(lam, run)] = cell
+            cells.update(((lam, run), cell) for lam, cell in scored.items())
 
-    means: dict[float, dict[str, float]] = {}
-    for lam in config.lambda_grid:
-        cells = [per_cell[(lam, r)] for r in range(config.runs) if (lam, r) in per_cell]
-        if not cells:
-            continue
-        entry: dict[str, float] = {
-            "rank_score": float(np.mean([c.rank_score for c in cells]))
-        }
-        for L in config.list_lengths:
-            entry[f"recall@{L}"] = float(np.mean([c.recall[L] for c in cells]))
-            entry[f"precision@{L}"] = float(np.mean([c.precision[L] for c in cells]))
-        means[lam] = entry
-
-    optima: dict[str, tuple[float, float]] = {}
-    if means:
-        lams = sorted(means)
-        best = min(lams, key=lambda lam: (means[lam]["rank_score"], lam))
-        optima["rank_score"] = (best, means[best]["rank_score"])
-        for L in config.list_lengths:
-            for metric in (f"recall@{L}", f"precision@{L}"):
-                best = max(lams, key=lambda lam: (means[lam][metric], -lam))
-                optima[metric] = (best, means[best][metric])
-
-    return MetricsReport(
-        config=config,
-        per_cell=per_cell,
-        cell_errors=cell_errors,
-        means=means,
-        optima=optima,
-    )
+    return {kind: _report(config, cells, dict(cell_errors)) for kind, cells in per_cell.items()}

@@ -1,23 +1,21 @@
 """Parsing of interaction/tagging logs, core filtering, and train/test splits.
 
 The raw logs are plain delimited text (tab, "::" or comma, auto-detected
-from the first line). Core filtering keeps only objects and tags with at
-least two distinct users, and users with at least one surviving object AND
-one surviving tag, iterating to a fixed point. Splitting partitions user-object
-edges only; all user-tag edges stay in training.
+from the first line that holds one). Core filtering keeps only objects and
+tags with at least two distinct users, and users with at least one surviving
+object AND one surviving tag, iterating to a fixed point. Splitting
+partitions user-object edges only; all user-tag edges stay in training.
 """
 
 from __future__ import annotations
 
-import logging
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .core import EntityIndexMap, TripartiteDataset, build_graph
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -62,25 +60,24 @@ def _is_number(token: str) -> bool:
         return False
 
 
-def _detect_delimiter(first_line: str) -> str:
-    """Tab if the line has one, else MovieLens' "::" if it has one, else comma."""
-    for delim in ("\t", "::"):
-        if delim in first_line:
-            return delim
-    return ","
+def _detect_delimiter(line: str) -> str | None:
+    """Tab if the line has one, else MovieLens' "::", else comma; None if it
+    has none of them."""
+    return next((delim for delim in ("\t", "::", ",") if delim in line), None)
 
 
 def _iter_rows(stream: str, lines: Iterable[str], headers: dict[str, str]):
-    """(line number, line, fields) of each non-blank line. A line 1 whose
-    first field is not a number is recorded in headers instead."""
+    """(line number, line, fields) of each non-blank line, split on the
+    delimiter of the first line that holds one. A line 1 whose first field is
+    not a number is recorded in headers instead."""
     delim: str | None = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n").rstrip("\r")
         if not line.strip():
             continue
-        if delim is None:
-            delim = _detect_delimiter(line)
-        fields = [f.strip() for f in line.split(delim)]
+        delim = delim or _detect_delimiter(line)
+        # until a line holds a delimiter, each line is one field (it has no comma)
+        fields = [f.strip() for f in line.split(delim or ",")]
         if lineno == 1 and not _is_number(fields[0]):
             headers[stream] = line
             continue
@@ -96,8 +93,10 @@ def parse(
 
     Ratings, when present, must lie in [0.5, 5]. Malformed lines are
     collected into ``records.errors`` with line numbers instead of raising.
-    Tag strings are trimmed and lowercased.
+    Tag strings are trimmed and lowercased. A NaN threshold raises ValueError.
     """
+    if math.isnan(rating_threshold):
+        raise ValueError("rating threshold must be a number, got nan")
     users: dict[str, int] = {}
     objects: dict[str, int] = {}
     tags: dict[str, int] = {}
@@ -191,16 +190,13 @@ def core_filter(records: RawRecords) -> TripartiteDataset:
     uo_edges = np.column_stack((new_user[obj_users[obj_kept]], new_obj[obj_codes[obj_kept]]))
     ut_edges = np.column_stack((new_user[tag_users[tag_kept]], new_tag[tag_codes[tag_kept]]))
 
-    dataset = TripartiteDataset(
+    return TripartiteDataset(
         users=user_map,
         objects=object_map,
         tags=tag_map,
         user_object=build_graph(uo_edges, len(user_map), len(object_map)),
         user_tag=build_graph(ut_edges, len(user_map), len(tag_map)),
     )
-    if dataset.is_empty:
-        logger.warning("core filtering removed every record; dataset is empty")
-    return dataset
 
 
 def split(dataset: TripartiteDataset, train_fraction: float, seed: int) -> EvaluationSplit:

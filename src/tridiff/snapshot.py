@@ -47,7 +47,8 @@ def save_dataset(dataset: TripartiteDataset, directory: Path) -> Path:
     """Write the dataset as a single snapshot file; returns its path.
 
     The snapshot is written to a temporary file beside it and then renamed
-    over it, so a failed write leaves the previous snapshot intact."""
+    over it, so a failed write leaves the previous snapshot intact. An OSError
+    from creating the directory or writing the file raises SnapshotError."""
     arrays = {
         "format_version": np.array(FORMAT_VERSION),
         "users": _id_array(dataset.users),
@@ -56,15 +57,18 @@ def save_dataset(dataset: TripartiteDataset, directory: Path) -> Path:
         "user_object": dataset.user_object.edge_array(),
         "user_tag": dataset.user_tag.edge_array(),
     }
-    directory.mkdir(parents=True, exist_ok=True)
     path = directory / SNAPSHOT_NAME
     partial = path.with_name(path.name + ".tmp")
     try:
-        with partial.open("wb") as fh:  # given a name, np.savez would append .npz
-            np.savez(fh, **arrays)
-        os.replace(partial, path)
-    finally:
-        partial.unlink(missing_ok=True)
+        directory.mkdir(parents=True, exist_ok=True)
+        try:
+            with partial.open("wb") as fh:  # given a name, np.savez would append .npz
+                np.savez(fh, **arrays)
+            os.replace(partial, path)
+        finally:
+            partial.unlink(missing_ok=True)
+    except OSError as exc:
+        raise SnapshotError(f"cannot write snapshot {path}: {exc}") from exc
     return path
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from tridiff.cli import main as cli_main
-from tridiff.evaluation import ExperimentConfig, lambda_grid, run_experiment
+from tridiff.evaluation import ExperimentConfig, lambda_grid, run_sweep
 from tridiff.ingest import core_filter, parse
 from tridiff.similarity import similarity_matrix
 from tridiff.snapshot import save_dataset
@@ -100,14 +100,14 @@ def test_metric_identity_synthetic():
             obj_density=0.01, tag_density=0.01,
         )
         config = ExperimentConfig(
-            similarity_kind="diffusion",
+            similarity_kinds=("diffusion",),
             lambda_grid=(0.0, 0.25, 0.5, 0.75, 1.0),
             runs=2,
             train_fraction=0.9,
             list_lengths=(10, 20),
             base_seed=42,
         )
-        report = run_experiment(dataset, config)
+        report = run_sweep(dataset, config)["diffusion"]
         m = dataset.user_object.left_count
         assert len(report.per_cell) == 5 * 2
         for cell in report.per_cell.values():
@@ -144,16 +144,16 @@ def test_endpoint_equivalence():
 
         def cfg(**kw):
             base = dict(
-                similarity_kind="diffusion", lambda_grid=(0.0, 0.5, 1.0),
+                similarity_kinds=("diffusion",), lambda_grid=(0.0, 0.5, 1.0),
                 runs=2, train_fraction=0.9, list_lengths=(5, 10), base_seed=7,
             )
             base.update(kw)
             return ExperimentConfig(**base)
 
-        fused = run_experiment(dataset, cfg())
+        fused = run_sweep(dataset, cfg())["diffusion"]
         # the 21-point grid ranks through crossing points, the others directly
         for grid in (lambda_grid(0.0, 1.0, 0.05), (1.0,), (0.0,)):
-            other = run_experiment(dataset, cfg(lambda_grid=grid))
+            other = run_sweep(dataset, cfg(lambda_grid=grid))["diffusion"]
             for lam in {0.0, 1.0} & set(grid):
                 for run in range(2):
                     assert other.per_cell[(lam, run)] == fused.per_cell[(lam, run)]
@@ -200,15 +200,13 @@ def test_qualitative_reproduction_movielens():
         "qualitative: diffusion beats cosine on mean rank score; interior optimum"
     ):
         grid = tuple(round(i * 0.02, 10) for i in range(51))
-        reports = {}
-        for kind in ("diffusion", "cosine"):
-            reports[kind] = run_experiment(
-                dataset,
-                ExperimentConfig(
-                    similarity_kind=kind, lambda_grid=grid, runs=5,
-                    train_fraction=0.9, list_lengths=(10, 20), base_seed=1,
-                ),
-            )
+        reports = run_sweep(
+            dataset,
+            ExperimentConfig(
+                similarity_kinds=("diffusion", "cosine"), lambda_grid=grid, runs=5,
+                train_fraction=0.9, list_lengths=(10, 20), base_seed=1,
+            ),
+        )
         d_lam, d_opt = reports["diffusion"].optima["rank_score"]
         c_lam, c_opt = reports["cosine"].optima["rank_score"]
         print(
@@ -238,13 +236,13 @@ def test_exact_snapshot_targets_movielens():
             len(dataset.tags),
         ) == (3710, 5724, 5228)
         grid = tuple(round(i * 0.02, 10) for i in range(51))
-        report = run_experiment(
+        report = run_sweep(
             dataset,
             ExperimentConfig(
-                similarity_kind="diffusion", lambda_grid=grid, runs=5,
+                similarity_kinds=("diffusion",), lambda_grid=grid, runs=5,
                 train_fraction=0.9, list_lengths=(10, 20), base_seed=1,
             ),
-        )
+        )["diffusion"]
         lam, opt = report.optima["rank_score"]
         assert abs(opt - 0.19943) <= 0.005
         r_lam, r_opt = report.optima["recall@10"]

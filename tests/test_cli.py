@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -95,17 +98,46 @@ class TestIngest:
         assert err[0].startswith(f"error: cannot read objects file {objects}:")
         assert not (out / SNAPSHOT_NAME).exists()
 
-    def test_empty_after_filter(self, tmp_path, capsys):
+    def test_empty_after_filter(self, tmp_path):
         objects = tmp_path / "o.tsv"
         tags = tmp_path / "t.tsv"
         objects.write_text("1\t101\t5\n", encoding="utf-8")
         tags.write_text("1\t101\tsolo\n", encoding="utf-8")
-        rc = main(
-            ["ingest", "--objects", str(objects), "--tags", str(tags),
-             "--out", str(tmp_path / "out")]
+        # a fresh process: pytest's log capture would hide a stray logging line
+        done = subprocess.run(
+            [sys.executable, "-m", "tridiff.cli", "ingest", "--objects", str(objects),
+             "--tags", str(tags), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
-        assert rc != 0
-        assert "empty after core filtering" in capsys.readouterr().err
+        assert done.returncode == 1
+        assert done.stderr == "error: dataset is empty after core filtering\n"
+        assert done.stdout == ""
+
+    def test_nan_rating_threshold_exit_2(self, data_files, tmp_path, capsys):
+        objects, tags = data_files
+        out = tmp_path / "out"
+        rc = main(
+            ["ingest", "--objects", str(objects), "--tags", str(tags), "--out", str(out),
+             "--rating-threshold", "nan"]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error:")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_out_is_a_file(self, data_files, tmp_path, capsys):
+        objects, tags = data_files
+        out = tmp_path / "out"
+        out.write_text("not a directory", encoding="utf-8")
+        rc = main(["ingest", "--objects", str(objects), "--tags", str(tags), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        last = err.splitlines()[-1]
+        assert last.startswith(f"error: cannot write snapshot {out / SNAPSHOT_NAME}:")
+        assert "Traceback" not in err
+        assert out.read_text(encoding="utf-8") == "not a directory"
 
 
 class TestSweep:
@@ -136,18 +168,18 @@ class TestSweep:
         assert (snapshot_dir / "sweep_diffusion.csv").read_bytes() == first
 
     def test_csv_roundtrips_floats(self, snapshot_dir):
-        from tridiff import ExperimentConfig, run_experiment
+        from tridiff import ExperimentConfig, run_sweep
         from tridiff.snapshot import load_dataset
 
         assert main(self.sweep_args(snapshot_dir)) == 0
         dataset = load_dataset(snapshot_dir)
-        report = run_experiment(
+        report = run_sweep(
             dataset,
             ExperimentConfig(
-                similarity_kind="diffusion", lambda_grid=(0.0, 0.5, 1.0),
+                similarity_kinds=("diffusion",), lambda_grid=(0.0, 0.5, 1.0),
                 runs=2, train_fraction=0.9, list_lengths=(2, 3), base_seed=3,
             ),
-        )
+        )["diffusion"]
         lines = (snapshot_dir / "sweep_diffusion.csv").read_text().splitlines()[1:]
         for line in lines:
             kind, lam, run, rank, r2, r3, p2, p3 = line.split(",")
@@ -174,16 +206,6 @@ class TestSweep:
         assert rc == 0
         assert (snapshot_dir / "sweep_cosine.csv").is_file()
 
-    def test_json_summary(self, snapshot_dir):
-        rc = main(
-            ["sweep", "--out", str(snapshot_dir), "--lambda", "0.5",
-             "--runs", "1", "--L", "2", "--format", "json"]
-        )
-        assert rc == 0
-        payload = json.loads((snapshot_dir / "summary_diffusion.json").read_text())
-        assert payload["similarity"] == "diffusion"
-        assert "rank_score" in payload["optima"]
-
     def test_invalid_config_exit_2(self, snapshot_dir, capsys):
         rc = main(
             ["sweep", "--out", str(snapshot_dir), "--runs", "0"]
@@ -196,7 +218,8 @@ class TestSweep:
         [("--lambda-step", "0"), ("--lambda-step", "-0.1"), ("--lambda-step", "nan"),
          ("--lambda-max", "inf"), ("--lambda-step", "1e-12"),
          ("--train-frac", "0"), ("--train-frac", "1.5"), ("--train-frac", "nan"),
-         ("--L", "10,10"), ("--seed", "-1")],
+         ("--L", "10,10"), ("--seed", "-1"),
+         ("--similarity", ","), ("--similarity", "diffusion,diffusion")],
     )
     def test_bad_lambda_grid_exit_2(self, snapshot_dir, capsys, flag, value):
         rc = main(["sweep", "--out", str(snapshot_dir), "--runs", "1", flag, value])

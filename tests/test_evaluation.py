@@ -14,9 +14,9 @@ from tridiff.evaluation import (
     UndefinedMetricError,
     evaluate_split,
     lambda_grid,
-    run_experiment,
+    run_sweep,
 )
-from tridiff.ingest import EvaluationSplit
+from tridiff.ingest import EvaluationSplit, split
 from tridiff.recommend import Scorer
 from tridiff.snapshot import save_dataset
 
@@ -230,7 +230,7 @@ class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"similarity_kind": "pearson"},
+            {"similarity_kinds": ("pearson",)},
             {"runs": 0},
             {"lambda_grid": (0.5, 0.2)},
             {"lambda_grid": (0.0, 1.5)},
@@ -241,6 +241,8 @@ class TestConfig:
             {"train_fraction": float("nan")},
             {"list_lengths": (10, 10)},
             {"base_seed": -1},
+            {"similarity_kinds": ()},
+            {"similarity_kinds": ("diffusion", "diffusion")},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
@@ -257,9 +259,11 @@ def dataset():
 
 
 class TestRunExperiment:
+    """The sweep protocol, run_sweep, one kind at a time unless a test says so."""
+
     def cfg(self, **kw):
         base = dict(
-            similarity_kind="diffusion",
+            similarity_kinds=("diffusion",),
             lambda_grid=(0.0, 0.5, 1.0),
             runs=2,
             train_fraction=0.9,
@@ -269,8 +273,12 @@ class TestRunExperiment:
         base.update(kw)
         return ExperimentConfig(**base)
 
+    def report(self, dataset, **kw):
+        """The diffusion report of a sweep of self.cfg(**kw)."""
+        return run_sweep(dataset, self.cfg(**kw))["diffusion"]
+
     def test_shape_and_bounds(self, dataset):
-        report = run_experiment(dataset, self.cfg())
+        report = self.report(dataset)
         assert len(report.per_cell) == 3 * 2
         for cell in report.per_cell.values():
             assert 0.0 < cell.rank_score <= 1.0
@@ -279,7 +287,7 @@ class TestRunExperiment:
                 assert 0.0 <= cell.precision[L] <= 1.0
 
     def test_identity_p_m_l_equals_r_np(self, dataset):
-        report = run_experiment(dataset, self.cfg())
+        report = self.report(dataset)
         m = dataset.user_object.left_count
         for cell in report.per_cell.values():
             for L in (5, 10):
@@ -292,25 +300,25 @@ class TestRunExperiment:
                 )
 
     def test_np_matches_rounding_rule(self, dataset):
-        report = run_experiment(dataset, self.cfg())
+        report = self.report(dataset)
         e = dataset.user_object.edge_count
         for cell in report.per_cell.values():
             assert cell.n_p == e - round(0.9 * e)
 
     def test_determinism(self, dataset):
-        r1 = run_experiment(dataset, self.cfg())
-        r2 = run_experiment(dataset, self.cfg())
+        r1 = self.report(dataset)
+        r2 = self.report(dataset)
         assert r1.per_cell == r2.per_cell
         assert r1.means == r2.means
         assert r1.optima == r2.optima
 
     def test_single_cell_tag_free(self, dataset):
-        report = run_experiment(dataset, self.cfg(lambda_grid=(1.0,), runs=1))
+        report = self.report(dataset, lambda_grid=(1.0,), runs=1)
         assert set(report.per_cell) == {(1.0, 0)}
         assert report.optima["rank_score"][0] == 1.0
 
     def test_empty_test_cells_reported_not_fatal(self, dataset):
-        report = run_experiment(dataset, self.cfg(train_fraction=1.0))
+        report = self.report(dataset, train_fraction=1.0)
         assert report.per_cell == {}
         assert len(report.cell_errors) == 3 * 2
         assert report.means == {} and report.optima == {}
@@ -318,10 +326,10 @@ class TestRunExperiment:
     def test_empty_dataset_rejected(self):
         empty = make_dataset([], [], 0, 0, 0)
         with pytest.raises(ValueError):
-            run_experiment(empty, self.cfg())
+            run_sweep(empty, self.cfg())
 
     def test_means_average_runs(self, dataset):
-        report = run_experiment(dataset, self.cfg())
+        report = self.report(dataset)
         for lam in (0.0, 0.5, 1.0):
             expect = np.mean(
                 [report.per_cell[(lam, r)].rank_score for r in range(2)]
@@ -329,7 +337,7 @@ class TestRunExperiment:
             assert report.means[lam]["rank_score"] == pytest.approx(expect, abs=1e-15)
 
     def test_optima_select_extremes(self, dataset):
-        report = run_experiment(dataset, self.cfg())
+        report = self.report(dataset)
         lam, value = report.optima["rank_score"]
         assert value == min(m["rank_score"] for m in report.means.values())
         assert report.means[lam]["rank_score"] == value
@@ -337,10 +345,41 @@ class TestRunExperiment:
         assert value == max(m["recall@5"] for m in report.means.values())
 
     def test_cosine_and_jaccard_kinds_run(self, dataset):
-        for kind in ("cosine", "jaccard"):
-            report = run_experiment(dataset, self.cfg(similarity_kind=kind, runs=1))
+        reports = run_sweep(dataset, self.cfg(similarity_kinds=("cosine", "jaccard"), runs=1))
+        assert list(reports) == ["cosine", "jaccard"]
+        for report in reports.values():
             for cell in report.per_cell.values():
                 assert 0.0 < cell.rank_score <= 1.0
+
+    def test_one_split_per_run_whatever_the_kinds(self, dataset):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return split(*args)
+
+        with mock.patch("tridiff.evaluation.split", counted):
+            reports = run_sweep(
+                dataset, self.cfg(similarity_kinds=("diffusion", "cosine", "jaccard"))
+            )
+        assert len(reports) == 3
+        assert [seed for _, _, seed in calls] == [7, 8]
+
+    def test_each_kind_as_if_swept_alone(self, dataset):
+        kinds = ("jaccard", "diffusion", "cosine")
+        for train_fraction in (0.9, 1.0):
+            together = run_sweep(
+                dataset, self.cfg(similarity_kinds=kinds, train_fraction=train_fraction)
+            )
+            assert list(together) == list(kinds)
+            for kind in kinds:
+                alone = run_sweep(
+                    dataset, self.cfg(similarity_kinds=(kind,), train_fraction=train_fraction)
+                )[kind]
+                assert together[kind].per_cell == alone.per_cell
+                assert together[kind].cell_errors == alone.cell_errors
+                assert together[kind].means == alone.means
+                assert together[kind].optima == alone.optima
 
 
 class TestSweepCsvPinned:

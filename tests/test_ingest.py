@@ -213,6 +213,19 @@ class TestParse:
         # a refused line indexes no id
         assert recs.users.external_ids == ("9",)
 
+    def test_delimiter_from_first_line_that_holds_one(self):
+        # a lone "5" holds no delimiter, so it decides nothing and is refused
+        recs = parse(["5", "1\t2\t3", "2\t2\t4"], ["7", "7,42,funny"])
+        assert decoded(recs) == ([("1", "2"), ("2", "2")], [("7", "funny")])
+        assert [(e.stream, e.line_number) for e in recs.errors] == [("objects", 1), ("tags", 1)]
+        # tab is preferred over "::" and comma on the line that decides
+        recs = parse(["", "1\t2::x,y\t3", "2\t3\t4"], [])
+        assert decoded(recs)[0] == [("1", "2::x,y"), ("2", "3")]
+
+    def test_nan_threshold_refused(self):
+        with pytest.raises(ValueError, match="nan"):
+            parse(["7\t42\t5"], [], rating_threshold=float("nan"))
+
     def test_rating_out_of_range_reported(self):
         for rating in ("9", "0.4"):
             recs = parse([f"7\t42\t{rating}"], [])

@@ -38,7 +38,7 @@ def test_failed_write_keeps_previous_snapshot(dataset, tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(np, "savez", write_then_fail)
-    with pytest.raises(OSError, match="disk full"):
+    with pytest.raises(SnapshotError, match=f"{re.escape(str(path))}: disk full"):
         save_dataset(make_dataset([(0, 0)], [(0, 0)], 1, 1, 1), tmp_path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == [SNAPSHOT_NAME]

@@ -69,18 +69,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class InputFileError(Exception):
-    """An input file that cannot be read as UTF-8 text."""
+class FileAccessError(Exception):
+    """An input file that cannot be read as UTF-8 text, or a report file
+    that cannot be written."""
 
 
 def _lines(label: str, path: str):
     """The lines of a UTF-8 text file; one that cannot be opened or decoded
-    raises InputFileError naming it."""
+    raises FileAccessError naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
             yield from fh
     except (OSError, UnicodeDecodeError) as exc:
-        raise InputFileError(f"cannot read {label} file {path}: {exc}") from exc
+        raise FileAccessError(f"cannot read {label} file {path}: {exc}") from exc
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Writes a UTF-8 report file; a failed write raises FileAccessError naming it."""
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise FileAccessError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -106,16 +115,15 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         return 1
     out = Path(args.out)
     snapshot.save_dataset(dataset, out)
-    info = snapshot.summary(dataset)
-    with (out / "summary.json").open("w", encoding="utf-8") as fh:
-        json.dump(info, fh, indent=2)
-    print(json.dumps(info, indent=2))
+    info = json.dumps(snapshot.summary(dataset), indent=2)
+    _write_text(out / "summary.json", info)
+    print(info)
     return 0
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     lines = [",".join(row) for row in [header, *rows]]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_reports(report: MetricsReport, kind: str, out: Path) -> None:
@@ -206,7 +214,7 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"ingest": cmd_ingest, "sweep": cmd_sweep, "recommend": cmd_recommend}
     try:
         return handlers[args.command](args)
-    except (InputFileError, snapshot.SnapshotError) as exc:
+    except (FileAccessError, snapshot.SnapshotError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import functools
 import math
+import multiprocessing
+import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -37,6 +39,16 @@ MAX_LAMBDA_POINTS = 10_001
 # Test users scored at once: on the benchmark's seed-1 data (2-vCPU VM) 16
 # was the fastest block measured, and a block's dense scores stay small.
 BLOCK_USERS = 16
+# A split with fewer blocks than this is scored in-process. Starting two
+# forked workers, warming them up and ending them cost ~40 ms; on the
+# benchmark's seed-1 data (2-vCPU VM, 15 alternating pairs per point) the
+# pool broke even near 8 blocks at 51 lambdas and between 16 and 32 blocks
+# at one lambda, whose blocks are the lightest (~8 ms).
+MIN_POOL_BLOCKS = 32
+# Chunks of blocks per worker, as Pool.map chunks its tasks: one block per
+# task cost ~18% more at one lambda, and at 51 lambdas chunks of 1 to 23
+# blocks measured the same.
+CHUNKS_PER_WORKER = 4
 
 
 def lambda_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
@@ -80,8 +92,8 @@ class ExperimentConfig:
             raise ValueError("lambda_grid must be sorted ascending")
         if not 0.0 < self.train_fraction <= 1.0:  # also rejects NaN
             raise ValueError(f"train_fraction must lie in (0, 1], got {self.train_fraction}")
-        if any(length < 1 for length in self.list_lengths):
-            raise ValueError("list lengths must be >= 1")
+        if not self.list_lengths or any(length < 1 for length in self.list_lengths):
+            raise ValueError(f"list lengths must be non-empty and >= 1, got {self.list_lengths}")
         if len(set(self.list_lengths)) != len(self.list_lengths):
             raise ValueError(f"list lengths must be distinct, got {self.list_lengths}")
         if self.base_seed < 0:
@@ -121,7 +133,9 @@ def evaluate_split(
     """Ranking score, Recall@L and Precision@L of one split at every lambda.
 
     Each distinct test pair counts once. Raises UndefinedMetricError when the
-    split has no test pair.
+    split has no test pair. A large split's test users are scored by one
+    forked worker process per CPU of the affinity mask; the parent adds their
+    rank sums in ascending user order, so every float equals a serial loop's.
     """
     pairs = np.unique(evaluation_split.test_edges, axis=0)  # by user, then object
     n_p = len(pairs)
@@ -131,20 +145,15 @@ def evaluate_split(
     training = evaluation_split.training
     m = training.user_object.left_count
     scorer = Scorer(training, kind)
-    rank_sums = np.zeros(len(lambda_grid))
-    hit_sums = np.zeros((len(lambda_grid), len(list_lengths)), dtype=np.int64)
-
     users, starts = np.unique(pairs[:, 0], return_index=True)
     test_objects = np.split(pairs[:, 1], starts[1:])
-    for start in range(0, len(users), BLOCK_USERS):
-        block = users[start : start + BLOCK_USERS]
-        p_obj, p_tag = scorer.channel_scores(block)
-        for i, v in enumerate(block.tolist()):
-            ranks, hits = scorer.sweep_stats(
-                p_obj[i], p_tag[i], v, test_objects[start + i], lambda_grid, list_lengths
-            )
-            rank_sums += np.cumsum(ranks, axis=0)[-1]  # in test-object order
-            hit_sums += hits
+    state = (scorer, users, test_objects, lambda_grid, list_lengths)
+    rank_sums = np.zeros(len(lambda_grid))
+    hit_sums = np.zeros((len(lambda_grid), len(list_lengths)), dtype=np.int64)
+    for totals, hits in _scored_chunks(state, len(users)):
+        for row in totals:  # users in ascending order, as a serial loop adds them
+            rank_sums += row
+        hit_sums += hits
 
     cells = {}
     for g, lam in enumerate(lambda_grid):
@@ -157,6 +166,70 @@ def evaluate_split(
             n_p=n_p,
         )
     return cells
+
+
+def _score_chunk(
+    scorer: Scorer,
+    users: np.ndarray,
+    test_objects: list[np.ndarray],
+    lambda_grid: Sequence[float],
+    list_lengths: Sequence[int],
+    chunk: range,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scores the test users users[chunk.start : chunk.stop] in blocks of
+    BLOCK_USERS. Returns each user's relative ranks summed in test-object
+    order, one row per user and one column per lambda, and the chunk's top-L
+    hit sums (lambda x L)."""
+    totals = np.empty((len(chunk), len(lambda_grid)))
+    hit_sums = np.zeros((len(lambda_grid), len(list_lengths)), dtype=np.int64)
+    for start in chunk[::BLOCK_USERS]:
+        block = users[start : min(start + BLOCK_USERS, chunk.stop)]
+        p_obj, p_tag = scorer.channel_scores(block)
+        for i, v in enumerate(block.tolist()):
+            ranks, hits = scorer.sweep_stats(
+                p_obj[i], p_tag[i], v, test_objects[start + i], lambda_grid, list_lengths
+            )
+            totals[start - chunk.start + i] = np.cumsum(ranks, axis=0)[-1]
+            hit_sums += hits
+    return totals, hit_sums
+
+
+# Set by the initializer of each pool worker, never in the parent process.
+_worker_state: tuple = ()
+
+
+def _init_worker(*state) -> None:
+    global _worker_state
+    _worker_state = state
+
+
+def _score_chunk_in_worker(chunk: range) -> tuple[np.ndarray, np.ndarray]:
+    return _score_chunk(*_worker_state, chunk)
+
+
+def _usable_cpus() -> int:
+    """CPUs in this process's affinity mask; 1 where fork or the mask is missing."""
+    if "fork" in multiprocessing.get_all_start_methods() and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _scored_chunks(state: tuple, n_users: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """_score_chunk(*state, chunk) for consecutive chunks that cover the
+    n_users test users, in order. Chunks hold whole blocks, so every block is
+    the one a serial loop scores. One forked worker per usable CPU scores
+    them, inheriting the state without pickling it; with one CPU or fewer
+    than MIN_POOL_BLOCKS blocks they are scored in this process."""
+    blocks = -(-n_users // BLOCK_USERS)
+    workers = min(_usable_cpus(), blocks) if blocks >= MIN_POOL_BLOCKS else 1
+    size = -(-blocks // (CHUNKS_PER_WORKER * workers)) * BLOCK_USERS
+    chunks = [range(lo, min(lo + size, n_users)) for lo in range(0, n_users, size)]
+    if workers < 2:
+        return [_score_chunk(*state, chunk) for chunk in chunks]
+    # fork, not spawn: a spawned pool re-imports numpy and scipy and unpickles
+    # the ~6 MB scorer in each worker, ~1 s against ~25 ms for a forked one
+    with multiprocessing.get_context("fork").Pool(workers, _init_worker, state) as pool:
+        return list(pool.imap(_score_chunk_in_worker, chunks))
 
 
 def _report(

@@ -139,6 +139,18 @@ class TestIngest:
         assert "Traceback" not in err
         assert out.read_text(encoding="utf-8") == "not a directory"
 
+    def test_summary_unwritable(self, data_files, tmp_path, capsys):
+        objects, tags = data_files
+        out = tmp_path / "out"
+        (out / "summary.json").mkdir(parents=True)
+        rc = main(["ingest", "--objects", str(objects), "--tags", str(tags), "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if not line.startswith("note:")]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"error: cannot write {out / 'summary.json'}:")
+        assert captured.out == ""
+
 
 class TestSweep:
     def sweep_args(self, out, **extra):
@@ -219,7 +231,7 @@ class TestSweep:
          ("--lambda-max", "inf"), ("--lambda-step", "1e-12"),
          ("--train-frac", "0"), ("--train-frac", "1.5"), ("--train-frac", "nan"),
          ("--L", "10,10"), ("--seed", "-1"),
-         ("--similarity", ","), ("--similarity", "diffusion,diffusion")],
+         ("--similarity", ","), ("--similarity", "diffusion,diffusion"), ("--L", ",")],
     )
     def test_bad_lambda_grid_exit_2(self, snapshot_dir, capsys, flag, value):
         rc = main(["sweep", "--out", str(snapshot_dir), "--runs", "1", flag, value])
@@ -227,6 +239,14 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "usage error" in err
         assert "Traceback" not in err
+
+    def test_report_unwritable(self, snapshot_dir, capsys):
+        (snapshot_dir / "summary_diffusion.csv").mkdir()
+        rc = main(["sweep", "--out", str(snapshot_dir), "--runs", "1", "--lambda", "0.5"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {snapshot_dir / 'summary_diffusion.csv'}:")
+        assert len(err.splitlines()) == 1
 
     def test_missing_snapshot(self, tmp_path, capsys):
         rc = main(["sweep", "--out", str(tmp_path / "void")])

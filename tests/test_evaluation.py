@@ -1,5 +1,8 @@
+import contextlib
 import hashlib
 import itertools
+import multiprocessing
+import os
 from unittest import mock
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tridiff import recommend
+from tridiff import evaluation, recommend
 from tridiff.cli import main
 from tridiff.evaluation import (
     ExperimentConfig,
@@ -243,6 +246,7 @@ class TestConfig:
             {"base_seed": -1},
             {"similarity_kinds": ()},
             {"similarity_kinds": ("diffusion", "diffusion")},
+            {"list_lengths": ()},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
@@ -382,6 +386,48 @@ class TestRunExperiment:
                 assert together[kind].optima == alone.optima
 
 
+@contextlib.contextmanager
+def forced_pool(cpus=3):
+    """Every split is scored by a pool of up to `cpus` forked workers, whatever
+    its size; yields a spy on the pool constructor."""
+    fork = multiprocessing.get_context("fork")
+    with mock.patch.object(os, "sched_getaffinity", return_value=set(range(cpus))), \
+            mock.patch.object(evaluation, "MIN_POOL_BLOCKS", 1), \
+            mock.patch.object(fork, "Pool", wraps=fork.Pool) as pool:
+        yield pool
+
+
+class TestWorkerPool:
+    @pytest.fixture
+    def evaluation_split(self, dataset):
+        return split(dataset, 0.9, 3)
+
+    @pytest.mark.parametrize("grid", [lambda_grid(0.0, 1.0, 0.02), (0.5,)], ids=["51", "1"])
+    @pytest.mark.parametrize("kind", ["diffusion", "cosine", "jaccard"])
+    def test_cells_equal_inline(self, evaluation_split, kind, grid):
+        # blocks of 4 users give the workers several chunks each to finish
+        # in any order
+        with mock.patch.object(evaluation, "BLOCK_USERS", 4):
+            inline = evaluate_split(evaluation_split, kind, grid, (5, 10))
+            with forced_pool() as pool:
+                pooled = evaluate_split(evaluation_split, kind, grid, (5, 10))
+        assert pool.call_count == 1
+        assert pooled == inline
+
+    def test_worker_exception_reaches_caller(self, evaluation_split):
+        boom = RuntimeError("boom in a worker")
+        with forced_pool() as pool, mock.patch.object(Scorer, "sweep_stats", side_effect=boom):
+            with pytest.raises(RuntimeError, match="boom in a worker"):
+                evaluate_split(evaluation_split, "diffusion", (0.5,), (5,))
+        assert pool.call_count == 1
+
+    def test_one_cpu_starts_no_pool(self, evaluation_split):
+        inline = evaluate_split(evaluation_split, "diffusion", (0.5,), (5,))
+        with forced_pool(cpus=1) as pool:
+            assert evaluate_split(evaluation_split, "diffusion", (0.5,), (5,)) == inline
+        pool.assert_not_called()
+
+
 class TestSweepCsvPinned:
     # sha256 of each sweep_<kind>.csv of a 51-lambda sweep of the fixture
     # below as comparing fused scores at every lambda writes them; a faster
@@ -407,3 +453,8 @@ class TestSweepCsvPinned:
             csv = (tmp_path / f"sweep_{kind}.csv").read_bytes()
             assert len(csv.splitlines()) == 1 + 51 * 2
             assert hashlib.sha256(csv).hexdigest() == digest
+
+    def test_sweep_csv_bytes_from_worker_pool(self, tmp_path):
+        with forced_pool() as pool:
+            self.test_sweep_csv_bytes(tmp_path)
+        assert pool.call_count == 3 * 2  # a pool per kind and run

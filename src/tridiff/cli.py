@@ -75,10 +75,10 @@ class FileAccessError(Exception):
 
 
 def _lines(label: str, path: str):
-    """The lines of a UTF-8 text file; one that cannot be opened or decoded
-    raises FileAccessError naming it."""
+    """The lines of a UTF-8 text file, without a leading byte order mark; one
+    that cannot be opened or decoded raises FileAccessError naming it."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             yield from fh
     except (OSError, UnicodeDecodeError) as exc:
         raise FileAccessError(f"cannot read {label} file {path}: {exc}") from exc

@@ -66,22 +66,19 @@ def _detect_delimiter(line: str) -> str | None:
     return next((delim for delim in ("\t", "::", ",") if delim in line), None)
 
 
-def _iter_rows(stream: str, lines: Iterable[str], headers: dict[str, str]):
-    """(line number, line, fields) of each non-blank line, split on the
-    delimiter of the first line that holds one. A line 1 whose first field is
-    not a number is recorded in headers instead."""
-    delim: str | None = None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip():
-            continue
-        delim = delim or _detect_delimiter(line)
-        # until a line holds a delimiter, each line is one field (it has no comma)
-        fields = [f.strip() for f in line.split(delim or ",")]
-        if lineno == 1 and not _is_number(fields[0]):
-            headers[stream] = line
-            continue
-        yield lineno, line, fields
+def _rating_verdict(field: str, threshold: float) -> str | None:
+    """What a rating field does to its line: None keeps it, "" drops it below
+    the threshold, and any other string is the reason the line is refused."""
+    field = field.strip()
+    if not field:
+        return None
+    try:
+        rating = float(field)
+    except ValueError:
+        return f"bad rating {field!r}"
+    if not 0.5 <= rating <= 5.0:
+        return f"rating {rating} outside [0.5, 5]"
+    return None if rating >= threshold else ""
 
 
 def parse(
@@ -91,9 +88,12 @@ def parse(
 ) -> RawRecords:
     """Parse both event streams; rating events below the threshold are dropped.
 
-    Ratings, when present, must lie in [0.5, 5]. Malformed lines are
-    collected into ``records.errors`` with line numbers instead of raising.
-    Tag strings are trimmed and lowercased. A NaN threshold raises ValueError.
+    Each stream splits on the delimiter of its first line that holds one, and
+    a line 1 whose first field is not a number is a header. Ratings, when
+    present, must lie in [0.5, 5]; comma-delimited fields may not be quoted.
+    Malformed lines are collected into ``records.errors`` with line numbers
+    instead of raising. Fields are trimmed and tags lowercased. A NaN
+    threshold raises ValueError.
     """
     if math.isnan(rating_threshold):
         raise ValueError("rating threshold must be a number, got nan")
@@ -104,39 +104,45 @@ def parse(
     tag_codes: list[int] = []  # user, tag, user, tag, ...
     errors: list[ParseError] = []
     headers: dict[str, str] = {}
+    verdicts: dict[str, str | None] = {}  # rating field -> _rating_verdict
 
-    for lineno, line, fields in _iter_rows("objects", object_stream, headers):
-        if len(fields) < 2:
-            errors.append(
-                ParseError("objects", lineno, line, "expected at least user and object")
-            )
-            continue
-        if len(fields) >= 3 and fields[2] != "":
-            if not _is_number(fields[2]):
-                errors.append(ParseError("objects", lineno, line, f"bad rating {fields[2]!r}"))
+    for stream, lines, index, out in (
+        ("objects", object_stream, objects, object_codes),
+        ("tags", tag_stream, tags, tag_codes),
+    ):
+        delim: str | None = None
+        for lineno, raw in enumerate(lines, start=1):
+            if raw.isspace() or not raw:
                 continue
-            rating = float(fields[2])
-            if not 0.5 <= rating <= 5.0:
-                errors.append(
-                    ParseError("objects", lineno, line, f"rating {rating} outside [0.5, 5]")
-                )
+            delim = delim or _detect_delimiter(raw)
+            # until a line holds a delimiter, each line is one field (it has no comma);
+            # the line ending, if any, stays on the last field, which is trimmed when used
+            fields = raw.split(delim or ",")
+            user = fields[0].strip()
+            if lineno == 1 and not _is_number(user):
+                headers[stream] = raw.rstrip("\n").rstrip("\r")
                 continue
-            if rating < rating_threshold:
+            if delim == "," and '"' in raw:
+                reason = "quoted fields are not supported"
+            elif len(fields) < 2:
+                reason = f"expected at least user and {stream[:-1]}"
+            elif index is tags:
+                # 2 columns: user, tag. 3+ columns: user, object, tag[, timestamp].
+                key = fields[1 if len(fields) == 2 else 2].strip().lower()
+                reason = None if key else "empty tag"
+            else:  # user, object[, rating[, timestamp]]
+                key = fields[1].strip()
+                rating = fields[2] if len(fields) > 2 else ""
+                if rating not in verdicts:
+                    verdicts[rating] = _rating_verdict(rating, rating_threshold)
+                reason = verdicts[rating]
+            if reason is not None:
+                if reason:
+                    line = raw.rstrip("\n").rstrip("\r")
+                    errors.append(ParseError(stream, lineno, line, reason))
                 continue
-        object_codes.append(users.setdefault(fields[0], len(users)))
-        object_codes.append(objects.setdefault(fields[1], len(objects)))
-
-    for lineno, line, fields in _iter_rows("tags", tag_stream, headers):
-        if len(fields) < 2:
-            errors.append(ParseError("tags", lineno, line, "expected at least user and tag"))
-            continue
-        # 2 columns: user, tag. 3+ columns: user, object, tag[, timestamp].
-        tag = fields[1 if len(fields) == 2 else 2].lower()
-        if not tag:
-            errors.append(ParseError("tags", lineno, line, "empty tag"))
-            continue
-        tag_codes.append(users.setdefault(fields[0], len(users)))
-        tag_codes.append(tags.setdefault(tag, len(tags)))
+            out.append(users.setdefault(user, len(users)))
+            out.append(index.setdefault(key, len(index)))
 
     return RawRecords(
         users=EntityIndexMap(tuple(users), users),
@@ -152,11 +158,14 @@ def parse(
 def _relabel(index: EntityIndexMap, codes: np.ndarray) -> tuple[EntityIndexMap, np.ndarray]:
     """Index map of the entities in codes, in order of first occurrence, and
     the lookup from old to new index (meaningful for those entities only)."""
-    present, first = np.unique(codes, return_index=True)
-    order = present[np.argsort(first)]
+    first = np.full(len(index), len(codes))
+    np.minimum.at(first, codes, np.arange(len(codes)))
+    is_first = np.zeros(len(codes) + 1, dtype=bool)  # the last slot takes absent entities
+    is_first[first] = True
+    order = codes[is_first[:-1]]
     new_index = np.zeros(len(index), dtype=np.int64)
     new_index[order] = np.arange(len(order))
-    return EntityIndexMap.from_ids(index.external_ids[i] for i in order.tolist()), new_index
+    return EntityIndexMap.from_ids([index.external_ids[i] for i in order.tolist()]), new_index
 
 
 def core_filter(records: RawRecords) -> TripartiteDataset:

@@ -87,6 +87,30 @@ class TestIngest:
             "note: tags line 1 skipped as a header: 'userId\\tmovieId\\ttag'",
         ]
 
+    @pytest.mark.parametrize("header", [True, False])
+    def test_byte_order_mark_dropped(self, data_files, tmp_path, capsys, header):
+        # spreadsheet tools start a UTF-8 file with a byte order mark; it must
+        # neither hide a header nor turn line 1 of data into one
+        objects, tags = data_files
+        lines = OBJECT_LINES if header else OBJECT_LINES.split("\n", 1)[1]
+        objects.write_bytes(b"\xef\xbb\xbf" + lines.encode())
+        tags.write_bytes(b"\xef\xbb\xbf" + TAG_LINES.encode())
+        out = tmp_path / "out"
+        rc = main(["ingest", "--objects", str(objects), "--tags", str(tags), "--out", str(out)])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {
+            "users": 3,
+            "objects": 3,
+            "tags": 2,
+            "user_object_edges": 6,
+            "user_tag_edges": 4,
+        }
+        notes = ["note: tags line 1 skipped as a header: 'userId\\tmovieId\\ttag'"]
+        if header:
+            notes.insert(0, "note: objects line 1 skipped as a header: 'userId\\tmovieId\\trating'")
+        assert captured.err.splitlines() == notes
+
     def test_file_not_utf8(self, data_files, tmp_path, capsys):
         objects, tags = data_files
         objects.write_bytes(OBJECT_LINES.encode() + b"4\t10\xff\t5\n")

@@ -1,9 +1,13 @@
+import math
+from typing import Iterable
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tridiff.ingest import RawRecords, core_filter, parse, split
+from tridiff.core import EntityIndexMap
+from tridiff.ingest import ParseError, RawRecords, core_filter, parse, split
 
 
 def reference_core(uo, ut):
@@ -138,6 +142,129 @@ def reference_parse(object_rows, tag_rows, threshold):
     return uo, ut, refused
 
 
+# The line reader that `parse` replaced, kept verbatim apart from its names
+# (`_iter_rows` is `reference_rows`, `_is_number` and `_detect_delimiter` are
+# copied beside it): it strips every field of every line and checks a rating
+# with two float() calls. `parse` must agree with it on every input without a
+# quote in a comma-delimited stream, where `parse` refuses the line instead.
+def reference_is_number(token: str) -> bool:
+    try:
+        float(token)
+        return True
+    except ValueError:
+        return False
+
+
+def reference_detect_delimiter(line: str) -> str | None:
+    """Tab if the line has one, else MovieLens' "::", else comma; None if it
+    has none of them."""
+    return next((delim for delim in ("\t", "::", ",") if delim in line), None)
+
+
+def reference_rows(stream: str, lines: Iterable[str], headers: dict[str, str]):
+    """(line number, line, fields) of each non-blank line, split on the
+    delimiter of the first line that holds one. A line 1 whose first field is
+    not a number is recorded in headers instead."""
+    delim: str | None = None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line.strip():
+            continue
+        delim = delim or reference_detect_delimiter(line)
+        # until a line holds a delimiter, each line is one field (it has no comma)
+        fields = [f.strip() for f in line.split(delim or ",")]
+        if lineno == 1 and not reference_is_number(fields[0]):
+            headers[stream] = line
+            continue
+        yield lineno, line, fields
+
+
+def reference_line_parse(
+    object_stream: Iterable[str],
+    tag_stream: Iterable[str],
+    rating_threshold: float = 0,
+) -> RawRecords:
+    """Parse both event streams; rating events below the threshold are dropped.
+
+    Ratings, when present, must lie in [0.5, 5]. Malformed lines are
+    collected into ``records.errors`` with line numbers instead of raising.
+    Tag strings are trimmed and lowercased. A NaN threshold raises ValueError.
+    """
+    if math.isnan(rating_threshold):
+        raise ValueError("rating threshold must be a number, got nan")
+    users: dict[str, int] = {}
+    objects: dict[str, int] = {}
+    tags: dict[str, int] = {}
+    object_codes: list[int] = []  # user, object, user, object, ...
+    tag_codes: list[int] = []  # user, tag, user, tag, ...
+    errors: list[ParseError] = []
+    headers: dict[str, str] = {}
+
+    for lineno, line, fields in reference_rows("objects", object_stream, headers):
+        if len(fields) < 2:
+            errors.append(
+                ParseError("objects", lineno, line, "expected at least user and object")
+            )
+            continue
+        if len(fields) >= 3 and fields[2] != "":
+            if not reference_is_number(fields[2]):
+                errors.append(ParseError("objects", lineno, line, f"bad rating {fields[2]!r}"))
+                continue
+            rating = float(fields[2])
+            if not 0.5 <= rating <= 5.0:
+                errors.append(
+                    ParseError("objects", lineno, line, f"rating {rating} outside [0.5, 5]")
+                )
+                continue
+            if rating < rating_threshold:
+                continue
+        object_codes.append(users.setdefault(fields[0], len(users)))
+        object_codes.append(objects.setdefault(fields[1], len(objects)))
+
+    for lineno, line, fields in reference_rows("tags", tag_stream, headers):
+        if len(fields) < 2:
+            errors.append(ParseError("tags", lineno, line, "expected at least user and tag"))
+            continue
+        # 2 columns: user, tag. 3+ columns: user, object, tag[, timestamp].
+        tag = fields[1 if len(fields) == 2 else 2].lower()
+        if not tag:
+            errors.append(ParseError("tags", lineno, line, "empty tag"))
+            continue
+        tag_codes.append(users.setdefault(fields[0], len(users)))
+        tag_codes.append(tags.setdefault(tag, len(tags)))
+
+    return RawRecords(
+        users=EntityIndexMap(tuple(users), users),
+        objects=EntityIndexMap(tuple(objects), objects),
+        tags=EntityIndexMap(tuple(tags), tags),
+        object_events=np.array(object_codes, dtype=np.int64).reshape(-1, 2),
+        tag_events=np.array(tag_codes, dtype=np.int64).reshape(-1, 2),
+        errors=tuple(errors),
+        headers=headers,
+    )
+
+
+# Raw lines for the comparison with reference_line_parse: 1-5 fields joined by
+# the stream's delimiter, fields that trimming, case folding or float() treat
+# unusually, rating tokens that repeat within a stream, three line endings, and
+# blank, whitespace-only and delimiter-free lines. A quote is drawn only into
+# tab and "::" streams.
+RATING_TOKENS = [" 4.5 ", "0.4", "9", "nan", "inf", "1_0", "5e0", "abc"]
+RAW_FIELDS = ["", " 7 ", "\xa0x\u3000", "TAG", "\u0130", "\xdf", "1", "12", *RATING_TOKENS * 2]
+
+
+def raw_stream(delim: str):
+    fields = st.sampled_from(RAW_FIELDS + (['"q"', 'say "hi"'] if delim != "," else []))
+    line = st.lists(fields, min_size=1, max_size=5).map(delim.join) | st.sampled_from(
+        ["", " ", "\t", "\xa0 ", "12", "TAG"]
+    )
+    ending = st.sampled_from(["", "\n", "\r\n", "\r"])
+    return st.lists(st.tuples(line, ending).map("".join), max_size=12)
+
+
+RAW_STREAMS = st.sampled_from(["\t", "::", ","]).flatmap(raw_stream)
+
+
 class TestParse:
     def test_basic_object_line(self):
         recs = parse(["7\t42\t5\n"], [], rating_threshold=0)
@@ -222,6 +349,24 @@ class TestParse:
         recs = parse(["", "1\t2::x,y\t3", "2\t3\t4"], [])
         assert decoded(recs)[0] == [("1", "2::x,y"), ("2", "3")]
 
+    def test_quoted_comma_fields_refused(self):
+        # MovieLens tags.csv quotes a tag that holds a comma; splitting inside
+        # the quotes would keep the tag '"funny'
+        recs = parse(
+            ["1,2,5", "3,2,4"],
+            ['"userId","movieId","tag"', '1,2,"funny, witty",123', '3,2,"funny, witty",124'],
+        )
+        assert decoded(recs) == ([("1", "2"), ("3", "2")], [])
+        assert [(e.stream, e.line_number, e.reason) for e in recs.errors] == [
+            ("tags", 2, "quoted fields are not supported"),
+            ("tags", 3, "quoted fields are not supported"),
+        ]
+        assert recs.headers == {"tags": '"userId","movieId","tag"'}
+        # a tab-delimited line splits on tabs only, so a quote is part of its field
+        recs = parse([], ['1\t2\t"funny, witty"'])
+        assert decoded(recs)[1] == [("1", '"funny, witty"')]
+        assert recs.errors == ()
+
     def test_nan_threshold_refused(self):
         with pytest.raises(ValueError, match="nan"):
             parse(["7\t42\t5"], [], rating_threshold=float("nan"))
@@ -258,6 +403,18 @@ class TestParse:
         assert recs.tags.external_ids == first_seen(t for _, t in ut)
         assert len(recs.errors) == refused
         assert recs.headers == {"objects": object_lines[0], "tags": tag_lines[0]}
+
+    @settings(max_examples=300, deadline=None)
+    @given(RAW_STREAMS, RAW_STREAMS, st.sampled_from([0, 0.5, 3, 5]))
+    def test_matches_line_reference(self, object_lines, tag_lines, threshold):
+        got = parse(object_lines, tag_lines, rating_threshold=threshold)
+        want = reference_line_parse(object_lines, tag_lines, rating_threshold=threshold)
+        for name in ("users", "objects", "tags"):
+            assert getattr(got, name) == getattr(want, name)
+        assert np.array_equal(got.object_events, want.object_events)
+        assert np.array_equal(got.tag_events, want.tag_events)
+        assert got.errors == want.errors
+        assert got.headers == want.headers
 
 
 class TestCoreFilter:

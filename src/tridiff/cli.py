@@ -6,7 +6,9 @@ Diagnostics go to stderr, data to stdout and files.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -84,12 +86,25 @@ def _lines(label: str, path: str):
         raise FileAccessError(f"cannot read {label} file {path}: {exc}") from exc
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Writes a UTF-8 report file; a failed write raises FileAccessError naming it."""
+def _write_files(texts: dict[Path, str]) -> None:
+    """Writes UTF-8 report files as one set. Each is written under a temporary
+    name, and all are renamed into place only after every write succeeded, so
+    a failure leaves the previous set as it was. A file with a directory in
+    its place fails before any rename. A failure raises FileAccessError
+    naming the file."""
+    partials = {path: path.with_name(path.name + ".tmp") for path in texts}
     try:
-        path.write_text(text, encoding="utf-8")
+        for path, text in texts.items():
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+            partials[path].write_text(text, encoding="utf-8")
+        for path, partial in partials.items():
+            os.replace(partial, path)
     except OSError as exc:
         raise FileAccessError(f"cannot write {path}: {exc}") from exc
+    finally:
+        for partial in partials.values():
+            partial.unlink(missing_ok=True)
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -116,34 +131,36 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     out = Path(args.out)
     snapshot.save_dataset(dataset, out)
     info = json.dumps(snapshot.summary(dataset), indent=2)
-    _write_text(out / "summary.json", info)
+    _write_files({out / "summary.json": info})
     print(info)
     return 0
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    lines = [",".join(row) for row in [header, *rows]]
-    _write_text(path, "\n".join(lines) + "\n")
+def _csv(header: list[str], rows: list[list[str]]) -> str:
+    return "\n".join(",".join(row) for row in [header, *rows]) + "\n"
 
 
 def write_reports(report: MetricsReport, kind: str, out: Path) -> None:
     """sweep_<kind>.csv (one row per cell), summary_<kind>.csv (per-lambda
-    means) and optima_<kind>.csv (the best lambda of each metric)."""
+    means) and optima_<kind>.csv (the best lambda of each metric), written
+    as one set."""
     names = evaluation.metric_names(report.config.list_lengths)
     cells = [
         [kind, _float_fmt(lam), str(run), *map(_float_fmt, cell.values())]
         for (lam, run), cell in sorted(report.per_cell.items())
     ]
-    _write_csv(out / f"sweep_{kind}.csv", ["similarity", "lambda", "run", *names], cells)
     means = [
         [kind, _float_fmt(lam), *(_float_fmt(report.means[lam][name]) for name in names)]
         for lam in sorted(report.means)
     ]
-    _write_csv(out / f"summary_{kind}.csv", ["similarity", "lambda", *names], means)
     optima = [
         [name, *map(_float_fmt, report.optima[name])] for name in names if name in report.optima
     ]
-    _write_csv(out / f"optima_{kind}.csv", ["metric", "lambda", "value"], optima)
+    _write_files({
+        out / f"sweep_{kind}.csv": _csv(["similarity", "lambda", "run", *names], cells),
+        out / f"summary_{kind}.csv": _csv(["similarity", "lambda", *names], means),
+        out / f"optima_{kind}.csv": _csv(["metric", "lambda", "value"], optima),
+    })
 
 
 def _load_snapshot(out: Path) -> TripartiteDataset:
@@ -193,10 +210,11 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         return 2
     out = Path(args.out)
     dataset = _load_snapshot(out)
-    if args.user not in dataset.users.index_of:
+    try:  # one scan of the ids; building index_of would cost more
+        v = dataset.users.external_ids.index(args.user)
+    except ValueError:
         print(f"error: unknown user id {args.user!r}", file=sys.stderr)
         return 1
-    v = dataset.users.index_of[args.user]
     scorer = Scorer(dataset, args.similarity)
     p_obj, p_tag = scorer.channel_scores([v])
     p = scorer.combine(p_obj[0], p_tag[0], args.lambda_)

@@ -8,7 +8,8 @@ products sum their terms, and so their floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,18 +23,21 @@ class GraphConstructionError(ValueError):
 
 @dataclass(frozen=True)
 class EntityIndexMap:
-    """Bijection between external id strings and dense indices [0, count)."""
+    """Bijection between external id strings and dense indices [0, count).
+
+    external_ids must not repeat an id; from_ids drops repeats."""
 
     external_ids: tuple[str, ...]
-    index_of: dict[str, int] = field(repr=False)
 
     @classmethod
     def from_ids(cls, ids: Iterable[str]) -> "EntityIndexMap":
         """Build a map assigning dense indices in first-seen order."""
-        index: dict[str, int] = {}
-        for ext in ids:
-            index.setdefault(ext, len(index))
-        return cls(external_ids=tuple(index), index_of=index)
+        return cls(external_ids=tuple(dict.fromkeys(ids)))
+
+    @cached_property
+    def index_of(self) -> dict[str, int]:
+        """Id -> index, built on first use."""
+        return {ext: i for i, ext in enumerate(self.external_ids)}
 
     def __len__(self) -> int:
         return len(self.external_ids)

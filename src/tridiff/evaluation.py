@@ -227,7 +227,11 @@ def _scored_chunks(state: tuple, n_users: int) -> list[tuple[np.ndarray, np.ndar
     if workers < 2:
         return [_score_chunk(*state, chunk) for chunk in chunks]
     # fork, not spawn: a spawned pool re-imports numpy and scipy and unpickles
-    # the ~6 MB scorer in each worker, ~1 s against ~25 ms for a forked one
+    # the ~6 MB scorer in each worker, ~1 s against ~25 ms for a forked one.
+    # The workers make no BLAS call (scipy's sparse products and numpy's
+    # element-wise ops, sorts and sums only), so the BLAS thread that exists
+    # after `import numpy`, which Python 3.12's fork DeprecationWarning
+    # counts, holds no lock a worker could need.
     with multiprocessing.get_context("fork").Pool(workers, _init_worker, state) as pool:
         return list(pool.imap(_score_chunk_in_worker, chunks))
 

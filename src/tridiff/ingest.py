@@ -91,9 +91,9 @@ def parse(
     Each stream splits on the delimiter of its first line that holds one, and
     a line 1 whose first field is not a number is a header. Ratings, when
     present, must lie in [0.5, 5]; comma-delimited fields may not be quoted.
-    Malformed lines are collected into ``records.errors`` with line numbers
-    instead of raising. Fields are trimmed and tags lowercased. A NaN
-    threshold raises ValueError.
+    Malformed lines, an empty user, object or tag field among them, are
+    collected into ``records.errors`` with line numbers instead of raising.
+    Fields are trimmed and tags lowercased. A NaN threshold raises ValueError.
     """
     if math.isnan(rating_threshold):
         raise ValueError("rating threshold must be a number, got nan")
@@ -126,6 +126,8 @@ def parse(
                 reason = "quoted fields are not supported"
             elif len(fields) < 2:
                 reason = f"expected at least user and {stream[:-1]}"
+            elif not user:
+                reason = "empty user"
             elif index is tags:
                 # 2 columns: user, tag. 3+ columns: user, object, tag[, timestamp].
                 key = fields[1 if len(fields) == 2 else 2].strip().lower()
@@ -135,7 +137,7 @@ def parse(
                 rating = fields[2] if len(fields) > 2 else ""
                 if rating not in verdicts:
                     verdicts[rating] = _rating_verdict(rating, rating_threshold)
-                reason = verdicts[rating]
+                reason = verdicts[rating] if key else "empty object"
             if reason is not None:
                 if reason:
                     line = raw.rstrip("\n").rstrip("\r")
@@ -145,9 +147,9 @@ def parse(
             out.append(index.setdefault(key, len(index)))
 
     return RawRecords(
-        users=EntityIndexMap(tuple(users), users),
-        objects=EntityIndexMap(tuple(objects), objects),
-        tags=EntityIndexMap(tuple(tags), tags),
+        users=EntityIndexMap(tuple(users)),
+        objects=EntityIndexMap(tuple(objects)),
+        tags=EntityIndexMap(tuple(tags)),
         object_events=np.array(object_codes, dtype=np.int64).reshape(-1, 2),
         tag_events=np.array(tag_codes, dtype=np.int64).reshape(-1, 2),
         errors=tuple(errors),

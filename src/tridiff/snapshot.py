@@ -1,8 +1,11 @@
 """Binary snapshot of a filtered tripartite dataset (ingest once, sweep many).
 
-An uncompressed .npz archive of the user, object and tag ids (str arrays),
-the user-object and user-tag edges ((E, 2) integer arrays) and a format
-version. zipfile checks the CRC-32 of each member on read.
+An uncompressed .npz archive of the user, object and tag ids (str arrays), a
+format version and, for each of the user-object and user-tag graphs, its
+canonical CSR arrays `<graph>_indptr` and `<graph>_indices`, in scipy's
+index dtype (int32 below 2**31 edges). Loading builds each CSR matrix from
+them as they are, without a sort, and checks that they are canonical.
+zipfile checks the CRC-32 of each member on read.
 """
 
 from __future__ import annotations
@@ -12,11 +15,12 @@ from pathlib import Path
 from zipfile import BadZipFile
 
 import numpy as np
+from scipy import sparse
 
-from .core import EntityIndexMap, TripartiteDataset, build_graph
+from .core import BipartiteGraph, EntityIndexMap, TripartiteDataset
 
 SNAPSHOT_NAME = "dataset.npz"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 # what reading a damaged snapshot raises (seen with each byte flipped and each
 # length cut); KeyError is a missing member, RuntimeError includes zipfile's
 # NotImplementedError, TypeError is a lone .npy array in the snapshot's place
@@ -37,10 +41,31 @@ def _id_array(index: EntityIndexMap) -> np.ndarray:
 def _index_map(name: str, ids: np.ndarray) -> EntityIndexMap:
     if ids.ndim != 1 or ids.dtype.kind != "U":
         raise ValueError(f"{name} must be a 1-D str array, got {ids.dtype} {ids.shape}")
-    index = EntityIndexMap.from_ids(ids.tolist())
-    if len(index) != len(ids):
+    external_ids = ids.tolist()
+    if len(set(external_ids)) != len(external_ids):
         raise ValueError(f"{name} repeats an id")
-    return index
+    return EntityIndexMap(tuple(external_ids))
+
+
+def _graph(npz, name: str, shape: tuple[int, int]) -> BipartiteGraph:
+    """The graph whose canonical CSR arrays npz holds under name; raises
+    ValueError unless they are exactly that: integer arrays, an indptr of
+    length left + 1 rising from 0 to len(indices), and indices in range and
+    strictly increasing within each row."""
+    indptr, indices = npz[f"{name}_indptr"], npz[f"{name}_indices"]
+    for member, array in (("indptr", indptr), ("indices", indices)):
+        if array.dtype.kind not in "iu":  # scipy would cast float indices
+            raise ValueError(f"{name}_{member} must be integers, got {array.dtype}")
+    try:
+        matrix = sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=shape)
+        matrix.check_format(full_check=True)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+    if matrix.nnz != len(indices):  # check_format drops indices past indptr[-1]
+        raise ValueError(f"{name}_indices holds {len(indices)} indices, indptr {matrix.nnz}")
+    if not matrix.has_canonical_format:
+        raise ValueError(f"{name} has a row with unsorted or repeated indices")
+    return BipartiteGraph(matrix)
 
 
 def save_dataset(dataset: TripartiteDataset, directory: Path) -> Path:
@@ -54,9 +79,11 @@ def save_dataset(dataset: TripartiteDataset, directory: Path) -> Path:
         "users": _id_array(dataset.users),
         "objects": _id_array(dataset.objects),
         "tags": _id_array(dataset.tags),
-        "user_object": dataset.user_object.edge_array(),
-        "user_tag": dataset.user_tag.edge_array(),
     }
+    for name in ("user_object", "user_tag"):
+        matrix = getattr(dataset, name).matrix
+        arrays[f"{name}_indptr"] = matrix.indptr
+        arrays[f"{name}_indices"] = matrix.indices
     path = directory / SNAPSHOT_NAME
     partial = path.with_name(path.name + ".tmp")
     try:
@@ -81,7 +108,10 @@ def load_dataset(directory: Path) -> TripartiteDataset:
             with np.load(fh, allow_pickle=False) as npz:
                 version = npz["format_version"].tolist()
                 if version != FORMAT_VERSION:
-                    raise ValueError(f"format version {version!r}, expected {FORMAT_VERSION}")
+                    raise ValueError(
+                        f"format version {version!r}, expected {FORMAT_VERSION}; "
+                        "run tridiff ingest again"
+                    )
                 users, objects, tags = (
                     _index_map(name, npz[name]) for name in ("users", "objects", "tags")
                 )
@@ -89,8 +119,8 @@ def load_dataset(directory: Path) -> TripartiteDataset:
                     users=users,
                     objects=objects,
                     tags=tags,
-                    user_object=build_graph(npz["user_object"], len(users), len(objects)),
-                    user_tag=build_graph(npz["user_tag"], len(users), len(tags)),
+                    user_object=_graph(npz, "user_object", (len(users), len(objects))),
+                    user_tag=_graph(npz, "user_tag", (len(users), len(tags))),
                 )
         except _DAMAGE as exc:
             raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc

@@ -265,17 +265,49 @@ class TestSweep:
         assert "Traceback" not in err
 
     def test_report_unwritable(self, snapshot_dir, capsys):
+        # an earlier run's report set, then a directory in one file's place
+        assert main(self.sweep_args(snapshot_dir)) == 0
+        (snapshot_dir / "summary_diffusion.csv").unlink()
+        earlier = {p.name: p.read_bytes() for p in snapshot_dir.iterdir() if p.is_file()}
+        capsys.readouterr()
         (snapshot_dir / "summary_diffusion.csv").mkdir()
         rc = main(["sweep", "--out", str(snapshot_dir), "--runs", "1", "--lambda", "0.5"])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {snapshot_dir / 'summary_diffusion.csv'}:")
         assert len(err.splitlines()) == 1
+        # the earlier run's files are untouched and no temporary file is left
+        after = {p.name: p.read_bytes() for p in snapshot_dir.iterdir() if p.is_file()}
+        assert after == earlier
+        assert {p.name for p in snapshot_dir.iterdir()} == {*earlier, "summary_diffusion.csv"}
 
     def test_missing_snapshot(self, tmp_path, capsys):
         rc = main(["sweep", "--out", str(tmp_path / "void")])
         assert rc == 1
         assert "run ingest first" in capsys.readouterr().err
+
+    def test_version_1_snapshot_needs_new_ingest(self, tmp_path, capsys):
+        # the members a version 1 snapshot held: (E, 2) edge lists, no CSR arrays
+        path = tmp_path / SNAPSHOT_NAME
+        with path.open("wb") as fh:
+            np.savez(
+                fh,
+                format_version=np.array(1),
+                users=np.array(["1", "2"]),
+                objects=np.array(["o1"]),
+                tags=np.array(["t1"]),
+                user_object=np.array([[0, 0], [1, 0]]),
+                user_tag=np.array([[0, 0], [1, 0]]),
+            )
+        want = (
+            f"error: cannot read snapshot {path}: format version 1, expected 2; "
+            "run tridiff ingest again\n"
+        )
+        for command in (["sweep", "--runs", "1"], ["recommend", "--user", "1"]):
+            assert main([command[0], "--out", str(tmp_path), *command[1:]]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == want
+            assert captured.out == ""
 
     def test_json_snapshot_needs_new_ingest(self, tmp_path, capsys):
         (tmp_path / "dataset.json").write_text('{"users": []}', encoding="utf-8")
@@ -364,7 +396,9 @@ class TestRecommend:
 
 DAMAGES = {
     "truncated": lambda path: path.write_bytes(path.read_bytes()[:-100]),
-    "float_edges": lambda path: rewrite_snapshot(path, user_object=np.array([[0.5, 0.0]])),
+    "float_edges": lambda path: rewrite_snapshot(
+        path, user_object_indices=np.array([0.5, 0.0])
+    ),
     "object_member": lambda path: rewrite_snapshot(
         path, tags=np.array(["funny", None], dtype=object)
     ),

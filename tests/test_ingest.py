@@ -144,9 +144,11 @@ def reference_parse(object_rows, tag_rows, threshold):
 
 # The line reader that `parse` replaced, kept verbatim apart from its names
 # (`_iter_rows` is `reference_rows`, `_is_number` and `_detect_delimiter` are
-# copied beside it): it strips every field of every line and checks a rating
-# with two float() calls. `parse` must agree with it on every input without a
-# quote in a comma-delimited stream, where `parse` refuses the line instead.
+# copied beside it) and from one later rule: an empty user or object field is
+# refused, as an empty tag always was. It strips every field of every line and
+# checks a rating with two float() calls. `parse` must agree with it on every
+# input without a quote in a comma-delimited stream, where `parse` refuses the
+# line instead.
 def reference_is_number(token: str) -> bool:
     try:
         float(token)
@@ -206,6 +208,10 @@ def reference_line_parse(
                 ParseError("objects", lineno, line, "expected at least user and object")
             )
             continue
+        if not fields[0] or not fields[1]:
+            reason = "empty user" if not fields[0] else "empty object"
+            errors.append(ParseError("objects", lineno, line, reason))
+            continue
         if len(fields) >= 3 and fields[2] != "":
             if not reference_is_number(fields[2]):
                 errors.append(ParseError("objects", lineno, line, f"bad rating {fields[2]!r}"))
@@ -225,6 +231,9 @@ def reference_line_parse(
         if len(fields) < 2:
             errors.append(ParseError("tags", lineno, line, "expected at least user and tag"))
             continue
+        if not fields[0]:
+            errors.append(ParseError("tags", lineno, line, "empty user"))
+            continue
         # 2 columns: user, tag. 3+ columns: user, object, tag[, timestamp].
         tag = fields[1 if len(fields) == 2 else 2].lower()
         if not tag:
@@ -234,9 +243,9 @@ def reference_line_parse(
         tag_codes.append(tags.setdefault(tag, len(tags)))
 
     return RawRecords(
-        users=EntityIndexMap(tuple(users), users),
-        objects=EntityIndexMap(tuple(objects), objects),
-        tags=EntityIndexMap(tuple(tags), tags),
+        users=EntityIndexMap(tuple(users)),
+        objects=EntityIndexMap(tuple(objects)),
+        tags=EntityIndexMap(tuple(tags)),
         object_events=np.array(object_codes, dtype=np.int64).reshape(-1, 2),
         tag_events=np.array(tag_codes, dtype=np.int64).reshape(-1, 2),
         errors=tuple(errors),
@@ -377,6 +386,23 @@ class TestParse:
             assert len(recs.object_events) == 0
             assert len(recs.errors) == 1
             assert recs.errors[0].reason == f"rating {float(rating)} outside [0.5, 5]"
+
+    def test_empty_ids_refused(self):
+        # an empty user or object is refused like an empty tag, even on a line
+        # whose rating is below the threshold
+        recs = parse(
+            ["1\t2\t3", "\t2\t3", "1\t \t3", "1\t\t1"],
+            ["1\tfunny", " \tfunny", "\t2\tdark"],
+            rating_threshold=2,
+        )
+        assert decoded(recs) == ([("1", "2")], [("1", "funny")])
+        assert [(e.stream, e.line_number, e.reason) for e in recs.errors] == [
+            ("objects", 2, "empty user"),
+            ("objects", 3, "empty object"),
+            ("objects", 4, "empty object"),
+            ("tags", 2, "empty user"),
+            ("tags", 3, "empty user"),
+        ]
 
     def test_empty_input(self):
         recs = parse([], [])

@@ -44,9 +44,25 @@ def test_failed_write_keeps_previous_snapshot(dataset, tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == [SNAPSHOT_NAME]
 
 
+def test_saves_int32_csr_arrays(dataset, tmp_path):
+    path = save_dataset(dataset, tmp_path)
+    with np.load(path) as npz:
+        assert sorted(npz.files) == sorted([
+            "format_version", "users", "objects", "tags",
+            "user_object_indptr", "user_object_indices", "user_tag_indptr", "user_tag_indices",
+        ])
+        assert npz["user_object_indptr"].tolist() == [0, 1, 3]
+        assert npz["user_object_indices"].tolist() == [0, 0, 1]
+        assert npz["user_tag_indptr"].tolist() == [0, 1, 2]
+        assert npz["user_tag_indices"].tolist() == [0, 0]
+        assert {npz[name].dtype for name in npz.files if name.startswith("user_")} == {
+            np.dtype(np.int32)
+        }
+
+
 def test_float_edge_fails_on_load(dataset, tmp_path):
     path = save_dataset(dataset, tmp_path)
-    rewrite_snapshot(path, user_object=np.array([[0.5, 0.0], [1.0, 0.0]]))
+    rewrite_snapshot(path, user_object_indices=np.array([0.5, 0.0, 1.0]))
     with pytest.raises(SnapshotError, match=re.escape(str(path))):
         load_dataset(tmp_path)
 
@@ -74,18 +90,32 @@ def test_pickled_member_is_refused(dataset, tmp_path):
     assert UNPICKLED == []
 
 
+# dataset's user-object graph is u0: {o0}, u1: {o0, o1}; its user-tag graph
+# u0: {t0}, u1: {t0}
 @pytest.mark.parametrize(
     "damage",
     [
-        {"drop": ("user_tag",)},
-        {"format_version": np.array(2)},
+        {"drop": ("user_tag_indices",)},
+        {"format_version": np.array(1)},
         {"users": np.array(["u0", "u1", "u0"])},  # a repeated id
         {"users": np.array([["u0", "u1"]])},
         {"users": np.arange(2)},
-        {"user_tag": np.array([[0, 0, 0]])},
-        {"user_tag": np.array([[2, 0]])},  # user index out of range
+        {"user_tag_indices": np.array([[0, 0, 0]])},
+        {"user_tag_indices": np.array([0, 1])},  # tag index out of range
+        {"user_object_indices": np.array([0.0, 0.0, 1.0])},  # scipy would cast them
+        {"user_object_indptr": np.array([0.0, 1.0, 3.0])},
+        {"user_object_indptr": np.array([0, 3])},  # one user too few
+        {"user_object_indptr": np.array([0, 2, 1])},
+        {"user_object_indptr": np.array([1, 1, 3])},
+        {"user_object_indptr": np.array([0, 1, 2])},  # the last index left over
+        {"user_object_indices": np.array([0, 1, 0])},  # u1's row unsorted
+        {"user_object_indices": np.array([0, 1, 1])},  # u1 holds o1 twice
     ],
-    ids=["missing", "version", "repeated", "2d_ids", "int_ids", "3_columns", "range"],
+    ids=[
+        "missing", "version", "repeated", "2d_ids", "int_ids", "3_columns", "range",
+        "float_indices", "float_indptr", "indptr_length", "indptr_decreasing",
+        "indptr_start", "extra_index", "unsorted_row", "repeated_edge",
+    ],
 )
 def test_bad_member_fails_on_load(dataset, tmp_path, damage):
     path = save_dataset(dataset, tmp_path)

@@ -332,13 +332,16 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_sweep(empty, self.cfg())
 
-    def test_means_average_runs(self, dataset):
-        report = self.report(dataset)
+    @pytest.mark.parametrize("runs", [2, 9])
+    def test_means_average_runs(self, dataset, runs):
+        # equal to np.mean of each column, bit for bit: the report CSVs print
+        # every mean at 17 digits
+        report = self.report(dataset, runs=runs)
+        names = evaluation.metric_names((5, 10))
         for lam in (0.0, 0.5, 1.0):
-            expect = np.mean(
-                [report.per_cell[(lam, r)].rank_score for r in range(2)]
-            )
-            assert report.means[lam]["rank_score"] == pytest.approx(expect, abs=1e-15)
+            for k, name in enumerate(names):
+                expect = np.mean([report.per_cell[(lam, r)].values()[k] for r in range(runs)])
+                assert report.means[lam][name] == expect
 
     def test_optima_select_extremes(self, dataset):
         report = self.report(dataset)
@@ -453,6 +456,52 @@ class TestSweepCsvPinned:
             csv = (tmp_path / f"sweep_{kind}.csv").read_bytes()
             assert len(csv.splitlines()) == 1 + 51 * 2
             assert hashlib.sha256(csv).hexdigest() == digest
+
+    # sha256 of every report file of a sweep of the same fixture, at 2 runs
+    # of the 51-point grid and at 9 runs of an 11-point one: a mean or an
+    # optimum that moved in its last bits shows here
+    REPORTS = {
+        ("2", "0.02"): {
+            "sweep_diffusion.csv": "b979427d64819706cf4d888256f09b64c738a5956d34cbf805b60a717d37cf45",
+            "sweep_cosine.csv": "bf1094cee0a9347ac6e8c71c99ff7dedc27536843a8ee4e25341d54eb83f2fc3",
+            "sweep_jaccard.csv": "f05d1f03ab1042a33c98e8b769a4cf0ece8f8030935729053c2386ae0df6a74b",
+            "summary_diffusion.csv": "5353e59656b5a2b035da80a73a91aa6bf44aa9d4e916412e55b816c9265d7f07",
+            "summary_cosine.csv": "0edabe249e77fffcc52ea265bbb727c375f15b993a4a9c8e38984aa33b6f5634",
+            "summary_jaccard.csv": "e65c7a71606bd5d5f2262e861c26877282b1ec563c55a2df8f6675973e8eac01",
+            "optima_diffusion.csv": "5ab4c0a4d1dd4fa24baa28b701aea52841be507aa92b0a3a472e8a9a049884fb",
+            "optima_cosine.csv": "7ac650b3784c021dbc1675d78a4636de604110cdf3e9f539ea91c09a1d348471",
+            "optima_jaccard.csv": "c17007ddf35c0050834fac249391160ede2e62897daf2f6ea70b4ea28374214f",
+        },
+        ("9", "0.1"): {
+            "sweep_diffusion.csv": "1de53bdaefb54a8342a00d1fe6d1b3cbf44b79c870663b83add848046984ee94",
+            "sweep_cosine.csv": "0b9d69c0c5ee7251d7d05554951721bd6570e660a0a7371335c7d2c5be52718a",
+            "sweep_jaccard.csv": "a7f2f6b0fce750aaecf686b8b2fe23197c47f74cd6a5fee4f42c5c2df179dcf4",
+            "summary_diffusion.csv": "4d7ce11da295b31c1870d9143422545e3b810bb9383a064c0534c8881ca723a9",
+            "summary_cosine.csv": "857c487d927832f37715b859eb621657284387d2cb626dd4ca951c86190678aa",
+            "summary_jaccard.csv": "a0a9fa138f2c84dd4d3eefdc2d8c77b220425a6e7d0a16e736e2c0b970ed501d",
+            "optima_diffusion.csv": "c034614598ea077c6eb2de86e4e6e34dc55b1dd5b19c163f3ca2804fac07eaa6",
+            "optima_cosine.csv": "e1f2f8a1ca2bf144000cddc8b30137ffc3640d832737ebc2deef3b6aa16fa6b2",
+            "optima_jaccard.csv": "e1007e13c552a4d838e0a27959db7a7f77004f1e2dc2cd9ff3a48508b07fd01c",
+        },
+    }
+
+    @pytest.mark.parametrize("runs, step", list(REPORTS), ids=["2-runs", "9-runs"])
+    def test_report_bytes(self, tmp_path, runs, step):
+        dataset = random_tripartite(
+            np.random.default_rng(11), m=60, n=80, r=30,
+            obj_density=0.1, tag_density=0.1,
+        )
+        save_dataset(dataset, tmp_path)
+        rc = main(
+            ["sweep", "--out", str(tmp_path), "--similarity", "diffusion,cosine,jaccard",
+             "--runs", runs, "--seed", "4", "--L", "5,10", "--lambda-step", step]
+        )
+        assert rc == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in self.REPORTS[runs, step]
+        }
+        assert digests == self.REPORTS[runs, step]
 
     def test_sweep_csv_bytes_from_worker_pool(self, tmp_path):
         with forced_pool() as pool:

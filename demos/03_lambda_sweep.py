@@ -52,14 +52,15 @@ reports = run_sweep(
         train_fraction=0.9, list_lengths=(10, 20), base_seed=1,
     ),
 )
-for lam in grid:
-    d = reports["diffusion"].means[lam]["rank_score"]
-    c = reports["cosine"].means[lam]["rank_score"]
+# means[g, k] is metric k (rank score first) averaged over runs at grid[g]
+for g, lam in enumerate(grid):
+    d = reports["diffusion"].means[g, 0]
+    c = reports["cosine"].means[g, 0]
     print(f"{lam:>6}  {d:.5f}    {c:.5f}")
 
 for kind in ("diffusion", "cosine"):
     lam, value = reports[kind].optima["rank_score"]
-    tag_free = reports[kind].means[1.0]["rank_score"]
+    tag_free = reports[kind].means[grid.index(1.0), 0]
     gain = (tag_free - value) / tag_free
     print(
         f"{kind}: best mean rank score {value:.5f} at lambda={lam} "

@@ -145,17 +145,14 @@ def write_reports(report: MetricsReport, kind: str, out: Path) -> None:
     means) and optima_<kind>.csv (the best lambda of each metric), written
     as one set."""
     names = evaluation.metric_names(report.config.list_lengths)
+    grid = [_float_fmt(lam) for lam in report.config.lambda_grid]
     cells = [
-        [kind, _float_fmt(lam), str(run), *map(_float_fmt, cell.values())]
-        for (lam, run), cell in sorted(report.per_cell.items())
+        [kind, lam, str(run), *map(_float_fmt, row)]
+        for g, lam in enumerate(grid)
+        for run, row in enumerate(report.cells[:, g].tolist())
     ]
-    means = [
-        [kind, _float_fmt(lam), *(_float_fmt(report.means[lam][name]) for name in names)]
-        for lam in sorted(report.means)
-    ]
-    optima = [
-        [name, *map(_float_fmt, report.optima[name])] for name in names if name in report.optima
-    ]
+    means = [[kind, lam, *map(_float_fmt, row)] for lam, row in zip(grid, report.means.tolist())]
+    optima = [[name, *map(_float_fmt, best)] for name, best in report.optima.items()]
     _write_files({
         out / f"sweep_{kind}.csv": _csv(["similarity", "lambda", "run", *names], cells),
         out / f"summary_{kind}.csv": _csv(["similarity", "lambda", *names], means),
@@ -189,12 +186,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    for kind, report in evaluation.run_sweep(dataset, config).items():
+    try:
+        reports = evaluation.run_sweep(dataset, config)
+    except evaluation.UndefinedMetricError as exc:  # a split that holds out nothing
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    for kind, report in reports.items():
         write_reports(report, kind, out)
-        for (lam, run), reason in sorted(report.cell_errors.items()):
-            print(
-                f"warning: {kind} lambda={lam} run={run}: {reason}", file=sys.stderr
-            )
         print(f"wrote {out / f'sweep_{kind}.csv'}", file=sys.stderr)
     return 0
 

@@ -12,6 +12,13 @@ averaging it over all test pairs gives the ranking score (lower is better).
 Recall@L and Precision@L share the numerator sum-of-hits; Precision divides
 by m * L with m the full filtered user count, so P * m * L = R * N_p holds
 exactly per cell.
+
+Results are arrays. A split's metrics at every lambda form one row per grid
+point and one column per metric, in metric_names order; a kind's sweep
+stacks them as cells[run, g, k], and its means and optima are read off that
+array. The number of held-out edges does not depend on the seed, so every run
+of a sweep has test pairs or none has: a sweep whose train fraction holds out
+nothing is refused before the first split.
 """
 
 from __future__ import annotations
@@ -88,8 +95,8 @@ class ExperimentConfig:
         grid = tuple(self.lambda_grid)
         if not grid or any(not 0.0 <= lam <= 1.0 for lam in grid):
             raise ValueError("lambda_grid must be non-empty within [0, 1]")
-        if list(grid) != sorted(grid):
-            raise ValueError("lambda_grid must be sorted ascending")
+        if any(a >= b for a, b in zip(grid, grid[1:])):
+            raise ValueError("lambda_grid must be strictly ascending")
         if not 0.0 < self.train_fraction <= 1.0:  # also rejects NaN
             raise ValueError(f"train_fraction must lie in (0, 1], got {self.train_fraction}")
         if not self.list_lengths or any(length < 1 for length in self.list_lengths):
@@ -100,28 +107,32 @@ class ExperimentConfig:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
 
 
-@dataclass(frozen=True)
-class CellMetrics:
-    """Metrics of one (lambda, run) cell. hits[L] is the shared numerator."""
-
-    rank_score: float
-    recall: dict[int, float]
-    precision: dict[int, float]
-    hits: dict[int, int]
-    n_p: int
-
-    def values(self) -> list[float]:
-        """The cell's metrics in metric_names order."""
-        return [self.rank_score, *self.recall.values(), *self.precision.values()]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricsReport:
+    """One kind's sweep: cells[run, g, k] is metric k (metric_names order) of
+    run `run` at config.lambda_grid[g]."""
+
     config: ExperimentConfig
-    per_cell: dict[tuple[float, int], CellMetrics]
-    cell_errors: dict[tuple[float, int], str]
-    means: dict[float, dict[str, float]]
-    optima: dict[str, tuple[float, float]]
+    cells: np.ndarray
+
+    @property
+    def means(self) -> np.ndarray:
+        """Per-lambda means over runs (lambda x metric). Each is taken along
+        a contiguous runs axis, so it equals np.mean of the column bit for
+        bit; cells.mean(axis=0) adds the runs in another order."""
+        return np.ascontiguousarray(np.moveaxis(self.cells, 0, -1)).mean(axis=-1)
+
+    @property
+    def optima(self) -> dict[str, tuple[float, float]]:
+        """Each metric's best (lambda, mean): the lowest rank score, the
+        highest recall and precision, ties to the smaller lambda."""
+        means = self.means
+        best = [int(means[:, 0].argmin()), *means[:, 1:].argmax(axis=0).tolist()]
+        names = metric_names(self.config.list_lengths)
+        return {
+            name: (self.config.lambda_grid[g], float(means[g, k]))
+            for k, (name, g) in enumerate(zip(names, best))
+        }
 
 
 def evaluate_split(
@@ -129,8 +140,9 @@ def evaluate_split(
     kind: str,
     lambda_grid: Sequence[float],
     list_lengths: Sequence[int],
-) -> dict[float, CellMetrics]:
-    """Ranking score, Recall@L and Precision@L of one split at every lambda.
+) -> np.ndarray:
+    """Ranking score, Recall@L and Precision@L of one split at every lambda,
+    as a (lambda x metric) array in metric_names order.
 
     Each distinct test pair counts once. Raises UndefinedMetricError when the
     split has no test pair. A large split's test users are scored by one
@@ -155,17 +167,10 @@ def evaluate_split(
             rank_sums += row
         hit_sums += hits
 
-    cells = {}
-    for g, lam in enumerate(lambda_grid):
-        hits = dict(zip(list_lengths, hit_sums[g].tolist()))
-        cells[lam] = CellMetrics(
-            rank_score=float(rank_sums[g] / n_p),
-            recall={L: h / n_p for L, h in hits.items()},
-            precision={L: h / (m * L) for L, h in hits.items()},
-            hits=hits,
-            n_p=n_p,
-        )
-    return cells
+    # int / int true division rounds once, so recall and precision are the
+    # shared hit count over their own denominators, exactly
+    denominators = m * np.asarray(list_lengths, dtype=np.int64)
+    return np.column_stack((rank_sums / n_p, hit_sums / n_p, hit_sums / denominators))
 
 
 def _score_chunk(
@@ -236,55 +241,28 @@ def _scored_chunks(state: tuple, n_users: int) -> list[tuple[np.ndarray, np.ndar
         return list(pool.imap(_score_chunk_in_worker, chunks))
 
 
-def _report(
-    config: ExperimentConfig,
-    per_cell: dict[tuple[float, int], CellMetrics],
-    cell_errors: dict[tuple[float, int], str],
-) -> MetricsReport:
-    """Per-lambda means over runs, and the lambda that optimises each mean:
-    the lowest rank score, the highest recall and precision, ties to the
-    smaller lambda."""
-    names = metric_names(config.list_lengths)
-    means: dict[float, dict[str, float]] = {}
-    for lam in config.lambda_grid:
-        cells = [per_cell[(lam, r)] for r in range(config.runs) if (lam, r) in per_cell]
-        if cells:
-            columns = zip(*(cell.values() for cell in cells))
-            means[lam] = {name: float(np.mean(col)) for name, col in zip(names, columns)}
-
-    optima: dict[str, tuple[float, float]] = {}
-    if means:
-        lams = sorted(means)
-        for name in names:
-            sign = 1 if name == "rank_score" else -1
-            best = min(lams, key=lambda lam: (sign * means[lam][name], lam))
-            optima[name] = (best, means[best][name])
-    return MetricsReport(config, per_cell, cell_errors, means, optima)
-
-
 def run_sweep(dataset: TripartiteDataset, config: ExperimentConfig) -> dict[str, MetricsReport]:
     """Full protocol: seeded splits, lambda sweep, per-run metrics, means,
     optima. Each run draws one split and scores every kind on it; the
     reports are keyed by kind in config order.
 
+    Raises UndefinedMetricError before the first split when the train
+    fraction holds out no user-object edge (an empty dataset included).
     Deterministic given the config.
     """
-    if dataset.is_empty:
-        raise ValueError("dataset is empty")
+    edges = dataset.user_object.edge_count
+    if round(config.train_fraction * edges) == edges:
+        raise UndefinedMetricError(
+            f"train fraction {config.train_fraction} holds out none of the "
+            f"{edges} user-object edges, so no metric is defined"
+        )
 
-    per_cell: dict[str, dict[tuple[float, int], CellMetrics]] = {
-        kind: {} for kind in config.similarity_kinds
-    }
-    cell_errors: dict[tuple[float, int], str] = {}
+    shape = (config.runs, len(config.lambda_grid), len(metric_names(config.list_lengths)))
+    cells = {kind: np.empty(shape) for kind in config.similarity_kinds}
     for run in range(config.runs):
         evaluation_split = split(dataset, config.train_fraction, config.base_seed + run)
-        if len(evaluation_split.test_edges) == 0:
-            cell_errors.update(((lam, run), "empty test set") for lam in config.lambda_grid)
-            continue
-        for kind, cells in per_cell.items():
-            scored = evaluate_split(
+        for kind, kind_cells in cells.items():
+            kind_cells[run] = evaluate_split(
                 evaluation_split, kind, config.lambda_grid, config.list_lengths
             )
-            cells.update(((lam, run), cell) for lam, cell in scored.items())
-
-    return {kind: _report(config, cells, dict(cell_errors)) for kind, cells in per_cell.items()}
+    return {kind: MetricsReport(config, kind_cells) for kind, kind_cells in cells.items()}

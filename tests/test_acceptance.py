@@ -109,14 +109,19 @@ def test_metric_identity_synthetic():
         )
         report = run_sweep(dataset, config)["diffusion"]
         m = dataset.user_object.left_count
-        assert len(report.per_cell) == 5 * 2
-        for cell in report.per_cell.values():
-            assert 0.0 < cell.rank_score <= 1.0
-            for L in (10, 20):
-                # both sides are the shared integer numerator hits[L] over
-                # their own denominator, so the identity is exact
-                assert cell.recall[L] == cell.hits[L] / cell.n_p
-                assert cell.precision[L] == cell.hits[L] / (m * L)
+        e = dataset.user_object.edge_count
+        n_p = e - round(0.9 * e)
+        assert report.cells.shape == (2, 5, 5)  # runs x lambdas x metrics
+        for cell in report.cells.reshape(-1, 5).tolist():
+            assert 0.0 < cell[0] <= 1.0
+            for k, L in enumerate((10, 20), start=1):
+                recall, precision = cell[k], cell[k + 2]
+                # both sides are the shared integer numerator over their own
+                # denominator, so the identity is exact
+                hits = round(recall * n_p)
+                assert recall * n_p == pytest.approx(hits, abs=1e-9)  # integral
+                assert recall == hits / n_p
+                assert precision == hits / (m * L)
 
 
 def test_ranks_example_third_of_hundred():
@@ -131,8 +136,8 @@ def test_ranks_example_third_of_hundred():
         uo += [(3, 0), (3, 1)]
         ds = make_dataset(uo, [(u, 0) for u in range(4)], 4, 101, 1)
         split = EvaluationSplit(training=ds, test_edges=np.array([[0, 3]]))
-        cell = evaluate_split(split, "diffusion", (1.0,), ())[1.0]
-        assert cell.rank_score == 0.03
+        cells = evaluate_split(split, "diffusion", (1.0,), ())
+        assert cells[0, 0] == 0.03  # lambda 1.0, rank score
 
 
 def test_endpoint_equivalence():
@@ -151,12 +156,16 @@ def test_endpoint_equivalence():
             return ExperimentConfig(**base)
 
         fused = run_sweep(dataset, cfg())["diffusion"]
+        fused_grid = fused.config.lambda_grid
         # the 21-point grid ranks through crossing points, the others directly
         for grid in (lambda_grid(0.0, 1.0, 0.05), (1.0,), (0.0,)):
             other = run_sweep(dataset, cfg(lambda_grid=grid))["diffusion"]
             for lam in {0.0, 1.0} & set(grid):
                 for run in range(2):
-                    assert other.per_cell[(lam, run)] == fused.per_cell[(lam, run)]
+                    assert np.array_equal(
+                        other.cells[run, grid.index(lam)],
+                        fused.cells[run, fused_grid.index(lam)],
+                    )
 
 
 def test_sweep_determinism(tmp_path):
@@ -217,7 +226,7 @@ def test_qualitative_reproduction_movielens():
         # (a) diffusion strictly better than cosine at their own optima
         assert d_opt < c_opt
         # (b) interior optimum with >= 1% improvement over the tag-free case
-        tag_free = reports["diffusion"].means[1.0]["rank_score"]
+        tag_free = reports["diffusion"].means[grid.index(1.0), 0]  # rank score
         improvement = (tag_free - d_opt) / tag_free
         print(f"improvement over lambda=1: {improvement:.2%}", file=sys.stderr)
         assert 0.0 < d_lam < 1.0

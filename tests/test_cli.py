@@ -219,10 +219,10 @@ class TestSweep:
         lines = (snapshot_dir / "sweep_diffusion.csv").read_text().splitlines()[1:]
         for line in lines:
             kind, lam, run, rank, r2, r3, p2, p3 = line.split(",")
-            cell = report.per_cell[(float(lam), int(run))]
-            assert float(rank) == cell.rank_score
-            assert float(r2) == cell.recall[2] and float(r3) == cell.recall[3]
-            assert float(p2) == cell.precision[2] and float(p3) == cell.precision[3]
+            cell = report.cells[int(run), report.config.lambda_grid.index(float(lam))]
+            assert float(rank) == cell[0]
+            assert float(r2) == cell[1] and float(r3) == cell[2]
+            assert float(p2) == cell[3] and float(p3) == cell[4]
 
     def test_single_lambda_flag(self, snapshot_dir):
         rc = main(
@@ -263,6 +263,21 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "usage error" in err
         assert "Traceback" not in err
+
+    def test_train_frac_holding_out_nothing_exit_2(self, snapshot_dir, capsys):
+        # an earlier run's report set, then a sweep with no test pair
+        assert main(self.sweep_args(snapshot_dir)) == 0
+        earlier = {p.name: p.read_bytes() for p in snapshot_dir.iterdir()}
+        capsys.readouterr()
+        rc = main(self.sweep_args(snapshot_dir, **{"--train-frac": "1"}))
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("usage error: train fraction 1.0 holds out none")
+        assert captured.out == ""
+        assert {p.name: p.read_bytes() for p in snapshot_dir.iterdir()} == earlier
+        reports = {f"{stem}_diffusion.csv" for stem in ("sweep", "summary", "optima")}
+        assert reports <= set(earlier)
 
     def test_report_unwritable(self, snapshot_dir, capsys):
         # an earlier run's report set, then a directory in one file's place

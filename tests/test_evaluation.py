@@ -39,27 +39,28 @@ def rank_third_setup(n=101, test_edges=((0, 3),)):
 
 
 def object_channel_cell(split, L=()):
-    """Metrics of the split at lambda = 1 (object channel only)."""
-    return evaluate_split(split, "diffusion", (1.0,), L)[1.0]
+    """Metrics of the split at lambda = 1 (object channel only), by name."""
+    row = evaluate_split(split, "diffusion", (1.0,), L)[0]
+    return dict(zip(evaluation.metric_names(L), row.tolist()))
 
 
 class TestRankOfTestPairs:
     def test_third_of_hundred(self):
         _, split = rank_third_setup()
-        assert object_channel_cell(split).rank_score == 0.03
+        assert object_channel_cell(split)["rank_score"] == 0.03
 
     def test_unique_top_of_ten(self):
         uo = [(0, 0), (1, 0), (1, 1)]
         ds = make_dataset(uo, [(0, 0), (1, 0)], 2, 11, 1)
         split = EvaluationSplit(training=ds, test_edges=np.array([[0, 1]]))
-        assert object_channel_cell(split).rank_score == 0.1
+        assert object_channel_cell(split)["rank_score"] == 0.1
 
     def test_zero_score_block_midrank(self):
         # target has no training edges at all: every uncollected object ties
         # at score zero and gets the midrank 5.5 of 10
         ds = make_dataset([(1, 0)], [(1, 0)], 2, 10, 1)
         split = EvaluationSplit(training=ds, test_edges=np.array([[0, 4]]))
-        assert object_channel_cell(split).rank_score == 0.55
+        assert object_channel_cell(split)["rank_score"] == 0.55
 
     def test_midrank_equals_enumeration(self):
         # exhaustive oracle: mean rank of a tie-block member over all
@@ -174,12 +175,12 @@ class TestSweepStats:
 class TestRankingScore:
     def test_single_pair(self):
         _, split = rank_third_setup()
-        assert object_channel_cell(split).rank_score == 0.03
+        assert object_channel_cell(split)["rank_score"] == 0.03
 
     def test_mean(self):
         # ranks 0.1 (object 1) and 0.3 (object 3) among 10 uncollected
         _, split = rank_third_setup(n=11, test_edges=((0, 1), (0, 3)))
-        assert object_channel_cell(split).rank_score == pytest.approx(0.2, abs=1e-15)
+        assert object_channel_cell(split)["rank_score"] == pytest.approx(0.2, abs=1e-15)
 
     @pytest.mark.parametrize("test_edges", [((0, 3), (0, 1)), ((0, 3), (0, 1), (0, 3))])
     def test_row_order_and_repeats_ignored(self, test_edges):
@@ -198,7 +199,7 @@ class TestRecallPrecision:
     def test_perfect_recall(self):
         _, split = rank_third_setup()
         cell = object_channel_cell(split, L=(10,))
-        r, p = cell.recall[10], cell.precision[10]
+        r, p = cell["recall@10"], cell["precision@10"]
         assert r == 1.0
         assert p == 1.0 / (4 * 10)
 
@@ -206,14 +207,14 @@ class TestRecallPrecision:
         ds, _ = rank_third_setup()
         split = EvaluationSplit(training=ds, test_edges=np.array([[0, 50]]))
         cell = object_channel_cell(split, L=(10,))
-        r, p = cell.recall[10], cell.precision[10]
+        r, p = cell["recall@10"], cell["precision@10"]
         assert r == 0.0 and p == 0.0
 
     def test_zero_score_object_never_hit(self):
         # the held-out object ties at zero: even L > n must not count it
         ds = make_dataset([(1, 0)], [(1, 0)], 2, 10, 1)
         split = EvaluationSplit(training=ds, test_edges=np.array([[0, 4]]))
-        r = object_channel_cell(split, L=(10,)).recall[10]
+        r = object_channel_cell(split, L=(10,))["recall@10"]
         assert r == 0.0
 
     def test_empty_test_set_raises(self):
@@ -236,6 +237,7 @@ class TestConfig:
             {"similarity_kinds": ("pearson",)},
             {"runs": 0},
             {"lambda_grid": (0.5, 0.2)},
+            {"lambda_grid": (0.5, 0.5)},
             {"lambda_grid": (0.0, 1.5)},
             {"lambda_grid": ()},
             {"list_lengths": (0,)},
@@ -283,80 +285,91 @@ class TestRunExperiment:
 
     def test_shape_and_bounds(self, dataset):
         report = self.report(dataset)
-        assert len(report.per_cell) == 3 * 2
-        for cell in report.per_cell.values():
-            assert 0.0 < cell.rank_score <= 1.0
-            for L in (5, 10):
-                assert 0.0 <= cell.recall[L] <= 1.0
-                assert 0.0 <= cell.precision[L] <= 1.0
+        assert report.cells.shape == (2, 3, 5)  # runs x lambdas x metrics
+        assert report.means.shape == (3, 5)
+        assert (0.0 < report.cells[..., 0]).all() and (report.cells[..., 0] <= 1.0).all()
+        assert (0.0 <= report.cells[..., 1:]).all() and (report.cells[..., 1:] <= 1.0).all()
 
     def test_identity_p_m_l_equals_r_np(self, dataset):
         report = self.report(dataset)
         m = dataset.user_object.left_count
-        for cell in report.per_cell.values():
-            for L in (5, 10):
+        e = dataset.user_object.edge_count
+        n_p = e - round(0.9 * e)
+        for cell in report.cells.reshape(-1, 5).tolist():
+            for k, L in enumerate((5, 10), start=1):
+                recall, precision = cell[k], cell[k + 2]
                 # both metrics are the shared integer numerator over their
                 # own denominators, so the identity holds as rationals
-                assert cell.recall[L] == cell.hits[L] / cell.n_p
-                assert cell.precision[L] == cell.hits[L] / (m * L)
-                assert cell.precision[L] * m * L == pytest.approx(
-                    cell.recall[L] * cell.n_p, rel=1e-12
-                )
+                hits = round(recall * n_p)
+                assert recall * n_p == pytest.approx(hits, abs=1e-9)  # integral
+                assert recall == hits / n_p
+                assert precision == hits / (m * L)
+                assert precision * m * L == pytest.approx(recall * n_p, rel=1e-12)
 
     def test_np_matches_rounding_rule(self, dataset):
-        report = self.report(dataset)
         e = dataset.user_object.edge_count
-        for cell in report.per_cell.values():
-            assert cell.n_p == e - round(0.9 * e)
+        for seed in (7, 8):  # the two runs of self.cfg()
+            pairs = np.unique(split(dataset, 0.9, seed).test_edges, axis=0)
+            assert len(pairs) == e - round(0.9 * e)
 
     def test_determinism(self, dataset):
         r1 = self.report(dataset)
         r2 = self.report(dataset)
-        assert r1.per_cell == r2.per_cell
-        assert r1.means == r2.means
+        assert np.array_equal(r1.cells, r2.cells)
+        assert np.array_equal(r1.means, r2.means)
         assert r1.optima == r2.optima
 
     def test_single_cell_tag_free(self, dataset):
         report = self.report(dataset, lambda_grid=(1.0,), runs=1)
-        assert set(report.per_cell) == {(1.0, 0)}
+        assert report.cells.shape == (1, 1, 5)
         assert report.optima["rank_score"][0] == 1.0
 
-    def test_empty_test_cells_reported_not_fatal(self, dataset):
-        report = self.report(dataset, train_fraction=1.0)
-        assert report.per_cell == {}
-        assert len(report.cell_errors) == 3 * 2
-        assert report.means == {} and report.optima == {}
+    def test_holding_out_nothing_raises(self, dataset):
+        # the held-out count does not depend on the seed, so no run could
+        # be scored: the sweep is refused before its first split
+        with mock.patch("tridiff.evaluation.split", side_effect=AssertionError("split")):
+            with pytest.raises(UndefinedMetricError, match="holds out none"):
+                self.report(dataset, train_fraction=1.0)
 
     def test_empty_dataset_rejected(self):
         empty = make_dataset([], [], 0, 0, 0)
         with pytest.raises(ValueError):
             run_sweep(empty, self.cfg())
 
-    @pytest.mark.parametrize("runs", [2, 9])
-    def test_means_average_runs(self, dataset, runs):
+    def test_means_average_runs(self, dataset):
         # equal to np.mean of each column, bit for bit: the report CSVs print
         # every mean at 17 digits
-        report = self.report(dataset, runs=runs)
-        names = evaluation.metric_names((5, 10))
-        for lam in (0.0, 0.5, 1.0):
-            for k, name in enumerate(names):
-                expect = np.mean([report.per_cell[(lam, r)].values()[k] for r in range(runs)])
-                assert report.means[lam][name] == expect
+        for runs in (2, 9):
+            report = self.report(dataset, runs=runs)
+            for g in range(3):
+                for k in range(5):
+                    expect = np.mean(report.cells[:, g, k].tolist())
+                    assert report.means[g, k] == expect
 
     def test_optima_select_extremes(self, dataset):
         report = self.report(dataset)
+        grid = report.config.lambda_grid
         lam, value = report.optima["rank_score"]
-        assert value == min(m["rank_score"] for m in report.means.values())
-        assert report.means[lam]["rank_score"] == value
+        assert value == report.means[:, 0].min()
+        assert report.means[grid.index(lam), 0] == value
         lam, value = report.optima["recall@5"]
-        assert value == max(m["recall@5"] for m in report.means.values())
+        assert value == report.means[:, 1].max()
+
+    def test_optima_ties_go_to_smaller_lambda(self):
+        cells = np.zeros((2, 3, 5))
+        cells[:, 1:, 0] = 0.25  # rank score lowest at lambda 0.0 alone
+        cells[:, 1:, 1] = 0.5  # recall@5 highest at 0.5 and 1.0
+        report = evaluation.MetricsReport(self.cfg(), cells)
+        assert report.optima["rank_score"] == (0.0, 0.0)
+        assert report.optima["recall@5"] == (0.5, 0.5)
+        assert report.optima["precision@10"] == (0.0, 0.0)
 
     def test_cosine_and_jaccard_kinds_run(self, dataset):
         reports = run_sweep(dataset, self.cfg(similarity_kinds=("cosine", "jaccard"), runs=1))
         assert list(reports) == ["cosine", "jaccard"]
         for report in reports.values():
-            for cell in report.per_cell.values():
-                assert 0.0 < cell.rank_score <= 1.0
+            ranks = report.cells[..., 0]
+            assert (0.0 < ranks).all() and (ranks <= 1.0).all()
 
     def test_one_split_per_run_whatever_the_kinds(self, dataset):
         calls = []
@@ -374,19 +387,17 @@ class TestRunExperiment:
 
     def test_each_kind_as_if_swept_alone(self, dataset):
         kinds = ("jaccard", "diffusion", "cosine")
-        for train_fraction in (0.9, 1.0):
-            together = run_sweep(
-                dataset, self.cfg(similarity_kinds=kinds, train_fraction=train_fraction)
-            )
-            assert list(together) == list(kinds)
-            for kind in kinds:
-                alone = run_sweep(
-                    dataset, self.cfg(similarity_kinds=(kind,), train_fraction=train_fraction)
-                )[kind]
-                assert together[kind].per_cell == alone.per_cell
-                assert together[kind].cell_errors == alone.cell_errors
-                assert together[kind].means == alone.means
-                assert together[kind].optima == alone.optima
+        together = run_sweep(dataset, self.cfg(similarity_kinds=kinds))
+        assert list(together) == list(kinds)
+        for kind in kinds:
+            alone = run_sweep(dataset, self.cfg(similarity_kinds=(kind,)))[kind]
+            assert np.array_equal(together[kind].cells, alone.cells)
+            assert np.array_equal(together[kind].means, alone.means)
+            assert together[kind].optima == alone.optima
+        # a split that holds out nothing is refused alike, together or alone
+        for chosen in (kinds, *((kind,) for kind in kinds)):
+            with pytest.raises(UndefinedMetricError):
+                run_sweep(dataset, self.cfg(similarity_kinds=chosen, train_fraction=1.0))
 
 
 @contextlib.contextmanager
@@ -415,7 +426,7 @@ class TestWorkerPool:
             with forced_pool() as pool:
                 pooled = evaluate_split(evaluation_split, kind, grid, (5, 10))
         assert pool.call_count == 1
-        assert pooled == inline
+        assert np.array_equal(pooled, inline)
 
     def test_worker_exception_reaches_caller(self, evaluation_split):
         boom = RuntimeError("boom in a worker")
@@ -427,7 +438,8 @@ class TestWorkerPool:
     def test_one_cpu_starts_no_pool(self, evaluation_split):
         inline = evaluate_split(evaluation_split, "diffusion", (0.5,), (5,))
         with forced_pool(cpus=1) as pool:
-            assert evaluate_split(evaluation_split, "diffusion", (0.5,), (5,)) == inline
+            pooled = evaluate_split(evaluation_split, "diffusion", (0.5,), (5,))
+        assert np.array_equal(pooled, inline)
         pool.assert_not_called()
 
 

@@ -232,7 +232,7 @@ def datasets(draw):
 
 def _cells(dataset, kind):
     try:
-        return evaluate_split(split(dataset, 0.7, 3), kind, (0.0, 0.4, 1.0), (1, 3))
+        return evaluate_split(split(dataset, 0.7, 3), kind, (0.0, 0.4, 1.0), (1, 3)).tolist()
     except UndefinedMetricError:
         return None
 

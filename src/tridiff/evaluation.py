@@ -52,22 +52,22 @@ BLOCK_USERS = 16
 # pool broke even near 8 blocks at 51 lambdas and between 16 and 32 blocks
 # at one lambda, whose blocks are the lightest (~8 ms).
 MIN_POOL_BLOCKS = 32
-# Chunks of blocks per worker, as Pool.map chunks its tasks: one block per
-# task cost ~18% more at one lambda, and at 51 lambdas chunks of 1 to 23
-# blocks measured the same.
-CHUNKS_PER_WORKER = 4
 
 
 def lambda_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
-    """Grid lo .. hi inclusive at the given step, each point rounded to 10 places."""
-    if not (step > 0.0 and math.isfinite((hi - lo) / step)):
-        raise ValueError(f"lambda grid needs finite bounds and a step > 0, got {step}")
+    """Grid lo .. hi inclusive at the given step, each point rounded to 10
+    places; whole steps must reach hi within 1e-9 at distinct points."""
+    if not (0.0 < step < math.inf and lo <= hi and math.isfinite((hi - lo) / step)):
+        raise ValueError(f"lambda grid needs finite lo <= hi and finite step > 0, got step {step}")
     count = round((hi - lo) / step)
     if count >= MAX_LAMBDA_POINTS:
-        raise ValueError(
-            f"lambda grid of {count + 1} points exceeds the limit of {MAX_LAMBDA_POINTS}"
-        )
-    return tuple(round(lo + i * step, 10) for i in range(count + 1))
+        raise ValueError(f"lambda step {step} makes {count + 1} points, over {MAX_LAMBDA_POINTS}")
+    if abs(lo + count * step - hi) > 1e-9:
+        raise ValueError(f"lambda step {step} from {lo} ends at {lo + count * step}, not {hi}")
+    grid = tuple(round(lo + i * step, 10) for i in range(count + 1))
+    if len(set(grid)) < len(grid):
+        raise ValueError(f"lambda step {step} repeats points rounded to 10 places")
+    return grid
 
 
 def metric_names(list_lengths: Sequence[int]) -> list[str]:
@@ -145,9 +145,10 @@ def evaluate_split(
     as a (lambda x metric) array in metric_names order.
 
     Each distinct test pair counts once. Raises UndefinedMetricError when the
-    split has no test pair. A large split's test users are scored by one
-    forked worker process per CPU of the affinity mask; the parent adds their
-    rank sums in ascending user order, so every float equals a serial loop's.
+    split has no test pair. A large split's blocks of test users are scored
+    by one forked worker process per CPU of the affinity mask; their rank
+    totals are added one user at a time in ascending order (an accumulate
+    along the users axis), so every float equals a serial loop's.
     """
     pairs = np.unique(evaluation_split.test_edges, axis=0)  # by user, then object
     n_p = len(pairs)
@@ -160,12 +161,9 @@ def evaluate_split(
     users, starts = np.unique(pairs[:, 0], return_index=True)
     test_objects = np.split(pairs[:, 1], starts[1:])
     state = (scorer, users, test_objects, lambda_grid, list_lengths)
-    rank_sums = np.zeros(len(lambda_grid))
-    hit_sums = np.zeros((len(lambda_grid), len(list_lengths)), dtype=np.int64)
-    for totals, hits in _scored_chunks(state, len(users)):
-        for row in totals:  # users in ascending order, as a serial loop adds them
-            rank_sums += row
-        hit_sums += hits
+    totals, hits = zip(*_scored_blocks(state, len(users)))
+    rank_sums = np.cumsum(np.concatenate(totals), axis=0)[-1]
+    hit_sums = np.sum(hits, axis=0)
 
     # int / int true division rounds once, so recall and precision are the
     # shared hit count over their own denominators, exactly
@@ -173,29 +171,28 @@ def evaluate_split(
     return np.column_stack((rank_sums / n_p, hit_sums / n_p, hit_sums / denominators))
 
 
-def _score_chunk(
+def _score_block(
     scorer: Scorer,
     users: np.ndarray,
     test_objects: list[np.ndarray],
     lambda_grid: Sequence[float],
     list_lengths: Sequence[int],
-    chunk: range,
+    start: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Scores the test users users[chunk.start : chunk.stop] in blocks of
-    BLOCK_USERS. Returns each user's relative ranks summed in test-object
-    order, one row per user and one column per lambda, and the chunk's top-L
-    hit sums (lambda x L)."""
-    totals = np.empty((len(chunk), len(lambda_grid)))
+    """Scores the test users users[start : start + BLOCK_USERS] as one block.
+    Returns each user's relative ranks summed in test-object order, one row
+    per user and one column per lambda, and the block's top-L hit sums
+    (lambda x L)."""
+    block = users[start : start + BLOCK_USERS]
+    p_obj, p_tag = scorer.channel_scores(block)
+    totals = np.empty((len(block), len(lambda_grid)))
     hit_sums = np.zeros((len(lambda_grid), len(list_lengths)), dtype=np.int64)
-    for start in chunk[::BLOCK_USERS]:
-        block = users[start : min(start + BLOCK_USERS, chunk.stop)]
-        p_obj, p_tag = scorer.channel_scores(block)
-        for i, v in enumerate(block.tolist()):
-            ranks, hits = scorer.sweep_stats(
-                p_obj[i], p_tag[i], v, test_objects[start + i], lambda_grid, list_lengths
-            )
-            totals[start - chunk.start + i] = np.cumsum(ranks, axis=0)[-1]
-            hit_sums += hits
+    for i, v in enumerate(block.tolist()):
+        ranks, hits = scorer.sweep_stats(
+            p_obj[i], p_tag[i], v, test_objects[start + i], lambda_grid, list_lengths
+        )
+        totals[i] = np.cumsum(ranks, axis=0)[-1]
+        hit_sums += hits
     return totals, hit_sums
 
 
@@ -208,8 +205,8 @@ def _init_worker(*state) -> None:
     _worker_state = state
 
 
-def _score_chunk_in_worker(chunk: range) -> tuple[np.ndarray, np.ndarray]:
-    return _score_chunk(*_worker_state, chunk)
+def _score_block_in_worker(start: int) -> tuple[np.ndarray, np.ndarray]:
+    return _score_block(*_worker_state, start)
 
 
 def _usable_cpus() -> int:
@@ -219,18 +216,20 @@ def _usable_cpus() -> int:
     return 1
 
 
-def _scored_chunks(state: tuple, n_users: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """_score_chunk(*state, chunk) for consecutive chunks that cover the
-    n_users test users, in order. Chunks hold whole blocks, so every block is
-    the one a serial loop scores. One forked worker per usable CPU scores
+def _scored_blocks(state: tuple, n_users: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """_score_block(*state, start) for each block of BLOCK_USERS of the
+    n_users test users, in order. One forked worker per usable CPU scores
     them, inheriting the state without pickling it; with one CPU or fewer
-    than MIN_POOL_BLOCKS blocks they are scored in this process."""
-    blocks = -(-n_users // BLOCK_USERS)
-    workers = min(_usable_cpus(), blocks) if blocks >= MIN_POOL_BLOCKS else 1
-    size = -(-blocks // (CHUNKS_PER_WORKER * workers)) * BLOCK_USERS
-    chunks = [range(lo, min(lo + size, n_users)) for lo in range(0, n_users, size)]
+    than MIN_POOL_BLOCKS blocks they are scored in this process.
+
+    Pool.map sends the blocks in its default chunks of
+    ceil(blocks / (4 * workers)): one block per task cost ~18% more at one
+    lambda, and at 51 lambdas chunks of 1 to 23 blocks measured the same.
+    """
+    starts = range(0, n_users, BLOCK_USERS)
+    workers = min(_usable_cpus(), len(starts)) if len(starts) >= MIN_POOL_BLOCKS else 1
     if workers < 2:
-        return [_score_chunk(*state, chunk) for chunk in chunks]
+        return [_score_block(*state, start) for start in starts]
     # fork, not spawn: a spawned pool re-imports numpy and scipy and unpickles
     # the ~6 MB scorer in each worker, ~1 s against ~25 ms for a forked one.
     # The workers make no BLAS call (scipy's sparse products and numpy's
@@ -238,7 +237,7 @@ def _scored_chunks(state: tuple, n_users: int) -> list[tuple[np.ndarray, np.ndar
     # after `import numpy`, which Python 3.12's fork DeprecationWarning
     # counts, holds no lock a worker could need.
     with multiprocessing.get_context("fork").Pool(workers, _init_worker, state) as pool:
-        return list(pool.imap(_score_chunk_in_worker, chunks))
+        return pool.map(_score_block_in_worker, starts)
 
 
 def run_sweep(dataset: TripartiteDataset, config: ExperimentConfig) -> dict[str, MetricsReport]:

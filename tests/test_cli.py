@@ -253,16 +253,25 @@ class TestSweep:
         "flag, value",
         [("--lambda-step", "0"), ("--lambda-step", "-0.1"), ("--lambda-step", "nan"),
          ("--lambda-max", "inf"), ("--lambda-step", "1e-12"),
+         # steps that stop short of 1, overshoot it or are not finite
+         ("--lambda-step", "0.3"), ("--lambda-step", "0.7"), ("--lambda-step", "0.6"),
+         ("--lambda-step", "inf"),
+         # two flags: a step below the 10-place rounding repeats points
+         ("--lambda-max=1e-10", "--lambda-step=1e-11"),
          ("--train-frac", "0"), ("--train-frac", "1.5"), ("--train-frac", "nan"),
          ("--L", "10,10"), ("--seed", "-1"),
          ("--similarity", ","), ("--similarity", "diffusion,diffusion"), ("--L", ",")],
     )
     def test_bad_lambda_grid_exit_2(self, snapshot_dir, capsys, flag, value):
+        before = {p.name: p.read_bytes() for p in snapshot_dir.iterdir()}
         rc = main(["sweep", "--out", str(snapshot_dir), "--runs", "1", flag, value])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "usage error" in err
-        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("usage error: ")
+        if flag.startswith("--lambda"):
+            assert "step" in err
+        assert {p.name: p.read_bytes() for p in snapshot_dir.iterdir()} == before
 
     def test_train_frac_holding_out_nothing_exit_2(self, snapshot_dir, capsys):
         # an earlier run's report set, then a sweep with no test pair

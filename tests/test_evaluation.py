@@ -1,8 +1,10 @@
 import contextlib
 import hashlib
 import itertools
+import math
 import multiprocessing
 import os
+import re
 from unittest import mock
 
 import numpy as np
@@ -231,6 +233,34 @@ class TestConfig:
         assert grid[0] == 0.0 and grid[-1] == 1.0
         assert grid[37] == pytest.approx(0.74, abs=1e-12)
 
+    @pytest.mark.parametrize("step", [0.02, 0.05, 0.1, 0.25, 0.5, 0.3333333333])
+    def test_grid_reaches_hi(self, step):
+        grid = lambda_grid(0.0, 1.0, step)
+        assert grid[0] == 0.0
+        assert grid[-1] == pytest.approx(1.0, abs=1e-9)
+        assert all(a < b for a, b in zip(grid, grid[1:]))
+
+    @pytest.mark.parametrize(
+        "lo, hi, step, message",
+        [
+            (0.0, 1.0, 0.3, "lambda step 0.3 from 0.0 ends at 0.8999999999999999, not 1.0"),
+            (0.0, 1.0, 0.7, "lambda step 0.7 from 0.0 ends at 0.7, not 1.0"),
+            (0.0, 1.0, 0.6, "lambda step 0.6 from 0.0 ends at 1.2, not 1.0"),
+            (0.0, 1.0, math.inf, "finite lo <= hi and finite step > 0, got step inf"),
+            (0.0, 1.0, math.nan, "finite lo <= hi and finite step > 0, got step nan"),
+            (0.0, 1.0, 0.0, "finite lo <= hi and finite step > 0, got step 0.0"),
+            (0.0, math.inf, 0.1, "finite lo <= hi and finite step > 0, got step 0.1"),
+            (1.0, 0.0, 0.1, "finite lo <= hi and finite step > 0, got step 0.1"),
+            (0.0, 1.0, 1e-12, "lambda step 1e-12 makes 1000000000001 points, over 10001"),
+            (0.0, 1e-10, 1e-11, "lambda step 1e-11 repeats points rounded to 10 places"),
+        ],
+        ids=["short", "one-step", "overshoot", "inf-step", "nan-step", "zero-step",
+             "inf-bound", "reversed", "too-many", "repeats"],
+    )
+    def test_refused_grid_names_step(self, lo, hi, step, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            lambda_grid(lo, hi, step)
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -403,12 +433,28 @@ class TestRunExperiment:
 @contextlib.contextmanager
 def forced_pool(cpus=3):
     """Every split is scored by a pool of up to `cpus` forked workers, whatever
-    its size; yields a spy on the pool constructor."""
+    its size; yields a spy on the pool constructor. cpus=None leaves the
+    affinity mask, or its absence, as it is."""
     fork = multiprocessing.get_context("fork")
-    with mock.patch.object(os, "sched_getaffinity", return_value=set(range(cpus))), \
-            mock.patch.object(evaluation, "MIN_POOL_BLOCKS", 1), \
+    affinity = (
+        contextlib.nullcontext() if cpus is None
+        else mock.patch.object(os, "sched_getaffinity", return_value=set(range(cpus)))
+    )
+    with affinity, mock.patch.object(evaluation, "MIN_POOL_BLOCKS", 1), \
             mock.patch.object(fork, "Pool", wraps=fork.Pool) as pool:
         yield pool
+
+
+def _pool_cases():
+    """(kind, grid, BLOCK_USERS): the split's 28 test users make 7 full
+    blocks of 4, or 10 blocks of 3 whose last one holds a single user."""
+    grids = {"51": lambda_grid(0.0, 1.0, 0.02), "1": (0.5,)}
+    return [
+        pytest.param(kind, grid, block_users, id=f"{kind}-{gid}{suffix}")
+        for block_users, suffix in ((4, ""), (3, "-partial"))
+        for kind in ("diffusion", "cosine", "jaccard")
+        for gid, grid in grids.items()
+    ]
 
 
 class TestWorkerPool:
@@ -416,12 +462,14 @@ class TestWorkerPool:
     def evaluation_split(self, dataset):
         return split(dataset, 0.9, 3)
 
-    @pytest.mark.parametrize("grid", [lambda_grid(0.0, 1.0, 0.02), (0.5,)], ids=["51", "1"])
-    @pytest.mark.parametrize("kind", ["diffusion", "cosine", "jaccard"])
-    def test_cells_equal_inline(self, evaluation_split, kind, grid):
-        # blocks of 4 users give the workers several chunks each to finish
-        # in any order
-        with mock.patch.object(evaluation, "BLOCK_USERS", 4):
+    @pytest.mark.parametrize("kind, grid, block_users", _pool_cases())
+    def test_cells_equal_inline(self, evaluation_split, kind, grid, block_users):
+        # small blocks give each of the three workers more than one map chunk,
+        # finished in any order; blocks of 3 leave a partial last block
+        n_users = len(np.unique(evaluation_split.test_edges[:, 0]))
+        assert n_users == 28
+        assert (n_users % block_users != 0) == (block_users == 3)
+        with mock.patch.object(evaluation, "BLOCK_USERS", block_users):
             inline = evaluate_split(evaluation_split, kind, grid, (5, 10))
             with forced_pool() as pool:
                 pooled = evaluate_split(evaluation_split, kind, grid, (5, 10))
@@ -438,6 +486,16 @@ class TestWorkerPool:
     def test_one_cpu_starts_no_pool(self, evaluation_split):
         inline = evaluate_split(evaluation_split, "diffusion", (0.5,), (5,))
         with forced_pool(cpus=1) as pool:
+            pooled = evaluate_split(evaluation_split, "diffusion", (0.5,), (5,))
+        assert np.array_equal(pooled, inline)
+        pool.assert_not_called()
+
+    def test_no_affinity_mask_starts_no_pool(self, evaluation_split, monkeypatch):
+        # as on macOS, whose os module has no sched_getaffinity
+        inline = evaluate_split(evaluation_split, "diffusion", (0.5,), (5,))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert evaluation._usable_cpus() == 1
+        with forced_pool(cpus=None) as pool:
             pooled = evaluate_split(evaluation_split, "diffusion", (0.5,), (5,))
         assert np.array_equal(pooled, inline)
         pool.assert_not_called()

@@ -44,22 +44,18 @@ class EntityIndexMap:
 
 
 class BipartiteGraph:
-    """Sparse binary bipartite adjacency in both directions.
+    """Sparse binary bipartite adjacency, held as one CSR matrix (left -> right).
 
-    Left nodes are users; right nodes are objects or tags. Backed by a CSR
-    matrix (left -> right) and its CSC twin, whose transpose is the CSR
-    matrix right -> left.
+    Left nodes are users; right nodes are objects or tags. Right degrees are
+    counted from the CSR indices; no right -> left copy is kept.
     """
 
     def __init__(self, matrix: sparse.csr_matrix):
         matrix.sum_duplicates()
         matrix.sort_indices()
         self._csr = matrix
-        self._csc = matrix.tocsc()
-        self._csc.sort_indices()
-        self._transposed = self._csc.T
-        self._left_degrees = np.diff(self._csr.indptr)
-        self._right_degrees = np.diff(self._csc.indptr)
+        self._left_degrees = np.diff(matrix.indptr)
+        self._right_degrees = np.bincount(matrix.indices, minlength=matrix.shape[1])
 
     @property
     def left_count(self) -> int:
@@ -77,11 +73,6 @@ class BipartiteGraph:
     def matrix(self) -> sparse.csr_matrix:
         """CSR adjacency (left x right), values all 1.0. Do not mutate."""
         return self._csr
-
-    @property
-    def transposed(self) -> sparse.csr_matrix:
-        """CSR adjacency (right x left), a view of the CSC twin. Do not mutate."""
-        return self._transposed
 
     def left_neighbors(self, u: int) -> np.ndarray:
         """Sorted right-node indices adjacent to left node u."""

@@ -43,15 +43,15 @@ class Scorer:
 
     def channel_scores(self, users: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """Object scores toward each of users from the object and from the tag
-        channel, as two (len(users), n_objects) arrays; each user's own
-        similarity is left out. Every score sums over users in ascending order.
+        channel, as two C-contiguous (len(users), n_objects) arrays; each user's
+        own similarity is left out. Every score sums over users in ascending order.
         """
         users = np.asarray(users, dtype=np.intp)
         scores = []
         for graph in (self.dataset.user_object, self.dataset.user_tag):
-            s = similarity_matrix(graph, users, self.kind)
-            s[np.arange(len(users)), users] = 0.0
-            scores.append((self._scatter @ s.T).T)
+            s = similarity_matrix(graph, users, self.kind).T  # (m, len(users)), C-ordered
+            s[users, np.arange(len(users))] = 0.0
+            scores.append(np.ascontiguousarray((self._scatter @ s).T))
         return scores[0], scores[1]
 
     @staticmethod
@@ -74,6 +74,9 @@ class Scorer:
             raise ValueError(f"L must be >= 1, got {L}")
         masked = self._uncollected(p, v)
         candidates = np.flatnonzero(masked > 0.0)
+        if len(candidates) > L:  # keep the L best and every score tied with the L-th
+            values = masked[candidates]
+            candidates = candidates[values >= np.partition(values, -L)[-L]]
         best = candidates[np.argsort(-masked[candidates], kind="stable")[:L]]
         return [(int(a), float(masked[a])) for a in best]
 

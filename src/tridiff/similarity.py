@@ -11,9 +11,9 @@ full m x m matrix):
 * cosine: overlap / sqrt(k(u) * k(v)) on the binary neighbor sets.
 * jaccard: overlap / union size.
 
-Each is one sparse product of the targets' adjacency rows with the
-transposed adjacency; tridiff.recommend turns the rows of the two graphs
-into object scores.
+Each is one product of the CSR adjacency with a dense array that holds the
+targets' edge weights, one column per target; tridiff.recommend turns the
+rows of the two graphs into object scores.
 """
 
 from __future__ import annotations
@@ -34,23 +34,27 @@ def similarity_matrix(graph: BipartiteGraph, users: Sequence[int], kind: str) ->
     """Dense (len(users), left_count) array whose row i holds every user's
     similarity toward users[i]; rows of a target without edges are zero.
 
-    Each entry is summed over the shared right nodes in ascending order
-    (scipy's CSR x CSR product follows the row's sorted indices).
+    It is (graph.matrix @ x).T, where column i of the dense x holds users[i]'s
+    edge weights (1 / (k_v * k_alpha) for diffusion, 1.0 for the overlap
+    counts) and 0.0 off its right nodes. scipy sums each entry over the
+    user's sorted right nodes; the zeros add +0.0, so it is the sum over the
+    shared right nodes in ascending order. Degrees are floored at 1 in the
+    normalisation: 0 / 0 becomes 0 / positive; no positive overlap's divisor moves.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown similarity kind: {kind!r}")
     users = np.asarray(users, dtype=np.intp)
-    rows = graph.matrix[users]
     k_v = graph.left_degrees[users]
+    # the targets' edges, target by target: their CSR positions and right nodes
+    owner = np.repeat(np.arange(len(users)), k_v)
+    first = graph.matrix.indptr[users] - (np.cumsum(k_v) - k_v)
+    right = graph.matrix.indices[np.arange(len(owner)) + np.repeat(first, k_v)]
+    x = np.zeros((graph.right_count, len(users)))
     if kind == DIFFUSION:
-        k_v_per_edge = np.repeat(k_v.astype(np.int64), np.diff(rows.indptr))
-        rows.data = 1.0 / (k_v_per_edge * graph.right_degrees[rows.indices])
-    s = (rows @ graph.transposed).toarray()
-    if kind == DIFFUSION:
-        return s
-    deg = graph.left_degrees
-    if kind == COSINE:
-        denominator = np.sqrt(deg * k_v[:, None].astype(np.float64))
-    else:
-        denominator = deg + k_v[:, None] - s
-    return np.divide(s, denominator, out=s, where=s > 0)
+        x[right, owner] = 1.0 / (k_v.astype(np.int64)[owner] * graph.right_degrees[right])
+        return (graph.matrix @ x).T
+    x[right, owner] = 1.0
+    s = graph.matrix @ x
+    deg, k_v = np.maximum(graph.left_degrees, 1)[:, None], np.maximum(k_v, 1)
+    s /= np.sqrt(deg * k_v.astype(np.float64)) if kind == COSINE else deg + k_v - s
+    return s.T

@@ -93,7 +93,8 @@ class TestGraphInvariants:
         from_left = {
             (u, int(x)) for u in range(m) for x in g.left_neighbors(u)
         }
-        by_right = g.transposed
+        by_right = g.matrix.T.tocsr()
+        assert np.array_equal(g.right_degrees, np.diff(by_right.indptr))
         from_right = {
             (int(u), x)
             for x in range(n)

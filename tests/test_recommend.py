@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,7 @@ from tridiff import recommend
 from tridiff.evaluation import lambda_grid
 from tridiff.ingest import split
 from tridiff.recommend import Scorer
-from tridiff.similarity import KINDS
+from tridiff.similarity import KINDS, similarity_matrix
 
 from conftest import make_dataset, random_tripartite
 
@@ -91,6 +92,21 @@ class TestTopL:
         p = dense({9: 0.5, 2: 0.5, 7: 0.5})
         assert [o for o, _ in no_collections.top_l(p, 0, 3)] == [2, 7, 9]
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_full_stable_sort(self, data):
+        # few distinct values, 0 among them, so ties straddle the L-th place
+        n = data.draw(st.integers(1, 25))
+        values = data.draw(st.lists(st.sampled_from((0.0, 0.25, 0.5, 1.0)), min_size=n, max_size=n))
+        collected = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        L = data.draw(st.integers(1, n + 2))
+        owned = [(0, a) for a in range(n) if collected[a]]
+        scorer = Scorer(make_dataset(owned + [(1, 0)], [(1, 0)], 2, n, 1), "diffusion")
+        p = np.array(values)
+        candidates = np.array([a for a in range(n) if not collected[a] and p[a] > 0.0], dtype=np.intp)
+        best = candidates[np.argsort(-p[candidates], kind="stable")[:L]]
+        assert scorer.top_l(p, 0, L) == [(int(a), float(p[a])) for a in best]
+
 
 class TestProperties:
     def test_scale_invariance(self, f2_dataset):
@@ -141,7 +157,7 @@ def reference_similarity(graph, v, kind):
     if kv == 0:
         return np.zeros(graph.left_count)
     right_deg = graph.right_degrees[alphas]
-    by_right = graph.transposed
+    by_right = graph.matrix.T.tocsr()
     users = np.concatenate(
         [by_right.indices[by_right.indptr[a] : by_right.indptr[a + 1]] for a in alphas]
     )
@@ -186,6 +202,36 @@ def edge_cases(draw):
     training = split(dataset, draw(st.sampled_from((0.5, 0.9, 1.0))), draw(st.integers(0, 9)))
     block = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
     return training.training, block
+
+
+class TestUsersWithoutEdges:
+    """The normalisation floors degrees at 1: a user or a target without
+    edges gets zeros, with no 0 / 0 and no warning."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_zero_degree_users_score_zero(self, kind):
+        # users 0-2 share objects and tags, user 3 (never a target) and
+        # user 4 (a target) have no edges at all
+        uo = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 0), (2, 2)]
+        ut = [(0, 0), (1, 0), (1, 1), (2, 1)]
+        dataset = make_dataset(uo, ut, 5, 3, 2)
+        block = [0, 4, 2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for graph in (dataset.user_object, dataset.user_tag):
+                s = similarity_matrix(graph, block, kind)
+                a = graph.matrix.toarray()
+                overlap = a[block] @ a.T
+                assert np.isfinite(s).all()
+                assert not s[overlap == 0].any() and (s[overlap > 0] > 0).all()
+                for i, v in enumerate(block):
+                    assert np.array_equal(s[i], reference_similarity(graph, v, kind))
+            p_obj, p_tag = Scorer(dataset, kind).channel_scores(block)
+        for i, v in enumerate(block):
+            ref_obj, ref_tag = reference_channel_scores(dataset, v, kind)
+            assert np.array_equal(p_obj[i], ref_obj) and np.array_equal(p_tag[i], ref_tag)
+        assert np.isfinite(p_obj).all() and np.isfinite(p_tag).all()
+        assert not p_obj[1].any() and not p_tag[1].any()
 
 
 class TestBlockScoresMatchPerUser:

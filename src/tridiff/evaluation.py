@@ -34,7 +34,7 @@ import numpy as np
 
 from .core import TripartiteDataset
 from .ingest import EvaluationSplit, split
-from .recommend import Scorer
+from .recommend import LambdaGrid, Scorer
 from .similarity import DIFFUSION, KINDS
 
 
@@ -43,8 +43,10 @@ class UndefinedMetricError(ValueError):
 
 
 MAX_LAMBDA_POINTS = 10_001
-# Test users scored at once: on the benchmark's seed-1 data (2-vCPU VM) 16
-# was the fastest block measured, and a block's dense scores stay small.
+# Test users scored at once. On the benchmark's seed-1 data (2-vCPU VM, split
+# seed 0, one serial evaluate_split, median of 3 interleaved) blocks of 8, 16
+# and 32 took 2.00, 1.76 and 2.00 s at 51 lambdas and 0.89, 0.75 and 0.77 s
+# at one; a block's dense scores stay small.
 BLOCK_USERS = 16
 # A split with fewer blocks than this is scored in-process. Starting two
 # forked workers, warming them up and ending them cost ~40 ms; on the
@@ -144,12 +146,14 @@ def evaluate_split(
     """Ranking score, Recall@L and Precision@L of one split at every lambda,
     as a (lambda x metric) array in metric_names order.
 
-    Each distinct test pair counts once. Raises UndefinedMetricError when the
-    split has no test pair. A large split's blocks of test users are scored
-    by one forked worker process per CPU of the affinity mask; their rank
-    totals are added one user at a time in ascending order (an accumulate
-    along the users axis), so every float equals a serial loop's.
+    Each distinct test pair counts once. Raises ValueError for a lambda
+    outside [0, 1], before any worker starts, and UndefinedMetricError when
+    the split has no test pair. A large split's blocks of test users are
+    scored by one forked worker process per CPU of the affinity mask; their
+    rank totals are added one user at a time in ascending order (an
+    accumulate along the users axis), so every float equals a serial loop's.
     """
+    grid = LambdaGrid(lambda_grid, list_lengths)
     pairs = np.unique(evaluation_split.test_edges, axis=0)  # by user, then object
     n_p = len(pairs)
     if n_p == 0:
@@ -160,7 +164,7 @@ def evaluate_split(
     scorer = Scorer(training, kind)
     users, starts = np.unique(pairs[:, 0], return_index=True)
     test_objects = np.split(pairs[:, 1], starts[1:])
-    state = (scorer, users, test_objects, lambda_grid, list_lengths)
+    state = (scorer, users, test_objects, grid)
     totals, hits = zip(*_scored_blocks(state, len(users)))
     rank_sums = np.cumsum(np.concatenate(totals), axis=0)[-1]
     hit_sums = np.sum(hits, axis=0)
@@ -175,25 +179,19 @@ def _score_block(
     scorer: Scorer,
     users: np.ndarray,
     test_objects: list[np.ndarray],
-    lambda_grid: Sequence[float],
-    list_lengths: Sequence[int],
+    grid: LambdaGrid,
     start: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Scores the test users users[start : start + BLOCK_USERS] as one block.
-    Returns each user's relative ranks summed in test-object order, one row
-    per user and one column per lambda, and the block's top-L hit sums
-    (lambda x L)."""
+    """Scores the test users users[start : start + BLOCK_USERS] as one block:
+    one channel_scores and one block_stats call. Returns each user's
+    relative ranks summed in test-object order, one row per user and one
+    column per lambda, and the block's top-L hit sums (lambda x L)."""
     block = users[start : start + BLOCK_USERS]
+    tests = test_objects[start : start + len(block)]
     p_obj, p_tag = scorer.channel_scores(block)
-    totals = np.empty((len(block), len(lambda_grid)))
-    hit_sums = np.zeros((len(lambda_grid), len(list_lengths)), dtype=np.int64)
-    for i, v in enumerate(block.tolist()):
-        ranks, hits = scorer.sweep_stats(
-            p_obj[i], p_tag[i], v, test_objects[start + i], lambda_grid, list_lengths
-        )
-        totals[i] = np.cumsum(ranks, axis=0)[-1]
-        hit_sums += hits
-    return totals, hit_sums
+    ranks, hits = scorer.block_stats(p_obj, p_tag, block, tests, grid)
+    per_user = np.split(ranks, np.cumsum([len(a) for a in tests[:-1]]))
+    return np.array([np.cumsum(r, axis=0)[-1] for r in per_user]), hits.sum(axis=0)
 
 
 # Set by the initializer of each pool worker, never in the parent process.

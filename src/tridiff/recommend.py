@@ -9,7 +9,9 @@ the object channel).
 
 Objects the target already collected in training never compete. A top-L
 list holds positive scores only, best first, ties broken by ascending
-object index; the evaluation protocol's hits follow the same rule.
+object index; the evaluation protocol's hits follow the same rule. The
+protocol ranks a block of test users' held-out objects at every lambda of a
+sweep in one block_stats call, on a LambdaGrid prepared once per split.
 """
 
 from __future__ import annotations
@@ -22,14 +24,45 @@ from .core import TripartiteDataset
 from .similarity import similarity_matrix
 
 # A sweep with fewer distinct lambdas inside (0, 1) than this compares fused
-# scores at every lambda: on the benchmark's seed-1 data (2-vCPU VM), one
-# crossing-point pass over a user's test objects costs about as much as 11
-# direct passes.
-MIN_CROSSING_POINTS = 11
+# scores at every lambda. On the benchmark's seed-1 data (2-vCPU VM, split
+# seed 0, blocks of 16, all 2936 test users, two interleaved passes) the
+# crossing path took 1.28 / 1.04 s at 6 interior points against 1.20 / 1.00 s
+# for the direct one, 1.27 / 1.05 s against 1.35 / 1.08 s at 7, and 1.27 /
+# 1.06 s against 1.48 / 1.23 s at 8 (grids of 0, the interior points and 1).
+MIN_CROSSING_POINTS = 7
 _MARGIN_FACTOR = 16.0
 _UNIT_ROUNDOFF = 2.0**-53
 _SMALLEST_SUBNORMAL = 2.0**-1074
 _PAIR_CHUNK = 1 << 16  # (competitor, lambda) pairs compared at once
+
+
+class LambdaGrid:
+    """A sweep's lambdas and top-L list lengths, prepared once for every
+    Scorer.block_stats call on them.
+
+    lams holds the lambdas as given, in any order and with repeats. The grid
+    is crossing when at least MIN_CROSSING_POINTS distinct lambdas lie inside
+    (0, 1); it is then counted at points = [0, those lambdas, 1], where
+    lams[g] is points[at[g]]. brackets is points with NaN at both ends, and
+    spacing the smallest gap between points. Raises ValueError naming the
+    first lambda outside [0, 1] (NaN included).
+    """
+
+    def __init__(self, lambdas: Sequence[float], list_lengths: Sequence[int]):
+        self.lams = np.asarray(lambdas, dtype=np.float64)
+        for lam in self.lams.tolist():
+            if not 0.0 <= lam <= 1.0:
+                raise ValueError(f"lambda {lam} is outside [0, 1]")
+        self.list_lengths = tuple(list_lengths)
+        interior = np.unique(self.lams[(self.lams > 0.0) & (self.lams < 1.0)])
+        self.crossing = len(interior) >= MIN_CROSSING_POINTS
+        self.points = np.concatenate(([0.0], interior, [1.0]))
+        # a bracket at lam = 0 or 1, which the signs already decide, is NaN
+        # and compares as neither above nor equal
+        self.brackets = self.points.copy()
+        self.brackets[[0, -1]] = np.nan
+        self.at = np.searchsorted(self.points, self.lams)
+        self.spacing = float(np.diff(self.points).min())
 
 
 class Scorer:
@@ -60,19 +93,13 @@ class Scorer:
         p_tag at lam = 0."""
         return lam * p_obj + (1.0 - lam) * p_tag
 
-    def _uncollected(self, p: np.ndarray, v: int) -> np.ndarray:
-        """Copy of p with v's collected objects set to -inf, so that they
-        rank below every score and never tie."""
-        masked = p.copy()
-        masked[self.dataset.user_object.left_neighbors(v)] = -np.inf
-        return masked
-
     def top_l(self, p: np.ndarray, v: int, L: int) -> list[tuple[int, float]]:
         """The L best uncollected objects of v as (object, score); zero
         scores are never listed."""
         if L < 1:
             raise ValueError(f"L must be >= 1, got {L}")
-        masked = self._uncollected(p, v)
+        masked = p.copy()  # collected objects rank below every score and never tie
+        masked[self.dataset.user_object.left_neighbors(v)] = -np.inf
         candidates = np.flatnonzero(masked > 0.0)
         if len(candidates) > L:  # keep the L best and every score tied with the L-th
             values = masked[candidates]
@@ -80,85 +107,73 @@ class Scorer:
         best = candidates[np.argsort(-masked[candidates], kind="stable")[:L]]
         return [(int(a), float(masked[a])) for a in best]
 
-    def sweep_stats(
-        self,
-        p_obj: np.ndarray,
-        p_tag: np.ndarray,
-        v: int,
-        test_objects: Sequence[int],
-        lambdas: Sequence[float],
-        list_lengths: Sequence[int],
+    def block_stats(
+        self, p_obj: np.ndarray, p_tag: np.ndarray, users: Sequence[int],
+        test_objects: Sequence[Sequence[int]], grid: LambdaGrid,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Relative midranks of v's test objects among v's uncollected
-        objects, and how many of them each top-L list holds, at every lambda.
+        """Relative midranks of the users' test objects among their
+        uncollected objects, and how many of them each top-L list holds, at
+        every lambda of grid.
 
-        Returns ranks[i, g], the midrank of test_objects[i] under
-        combine(p_obj, p_tag, lambdas[g]) divided by the number of
-        uncollected objects, and hits[g, j], how many test objects the
-        top-list_lengths[j] list of that score holds. A tie is == on
+        Row i of p_obj and p_tag holds the channel scores toward users[i],
+        whose test objects test_objects[i] (at least one) are uncollected.
+        Pair q is the q-th (user, test object), users in order and each
+        user's objects in the order given. Returns ranks[q, g], the midrank
+        of pair q's object under combine(p_obj[i], p_tag[i], grid.lams[g])
+        divided by the number of users[i]'s uncollected objects, and
+        hits[i, g, j], how many of users[i]'s test objects the
+        top-grid.list_lengths[j] list of that score holds. A tie is == on
         combine's output; within a tie block top_l lists lower indices first.
 
-        A grid with at least MIN_CROSSING_POINTS distinct points inside
-        (0, 1) is counted from crossing points (_crossing_counts), a shorter
-        one by comparing fused scores at every lambda (_direct_stats).
-        Raises ValueError for a lambda outside [0, 1].
+        A crossing grid is counted from crossing points for the whole block
+        (_crossing_stats), which overwrites each row's collected objects in
+        p_obj and p_tag with -inf; a shorter grid compares fused scores at
+        every lambda, one user at a time (_direct_stats).
         """
-        lams = np.asarray(lambdas, dtype=np.float64)
-        if not all(0.0 <= lam <= 1.0 for lam in lams.tolist()):
-            raise ValueError("lambdas must lie in [0, 1]")
-        alphas = np.asarray(test_objects, dtype=np.intp)
-        n_uncollected = self.n_objects - self.dataset.user_object.left_degree(v)
-        interior = ()
-        if len(lams) >= MIN_CROSSING_POINTS:
-            interior = np.unique(lams[(lams > 0.0) & (lams < 1.0)])
-        if len(interior) < MIN_CROSSING_POINTS:
-            return self._direct_stats(p_obj, p_tag, v, alphas, lams, list_lengths, n_uncollected)
-
-        grid = np.concatenate(([0.0], interior, [1.0]))
-        fa, counts = self._crossing_counts(p_obj, p_tag, v, alphas, grid)
-        points = np.searchsorted(grid, lams)
-        fa, (greater, equal, before) = fa[:, points], counts[:, :, points]
-        lengths = np.asarray(list_lengths)
-        listed = _listed(fa[..., None], greater[..., None], before[..., None], lengths)
-        return _midrank(greater, equal, n_uncollected), listed.sum(axis=0)
+        users = np.asarray(users, dtype=np.intp)
+        if grid.crossing:
+            return self._crossing_stats(p_obj, p_tag, users, test_objects, grid)
+        ranks, hits = zip(*(
+            self._direct_stats(p_obj[i], p_tag[i], v, test_objects[i], grid)
+            for i, v in enumerate(users.tolist())
+        ))
+        return np.concatenate(ranks), np.stack(hits)
 
     def _direct_stats(
-        self,
-        p_obj: np.ndarray,
-        p_tag: np.ndarray,
-        v: int,
-        alphas: np.ndarray,
-        lams: np.ndarray,
-        list_lengths: Sequence[int],
-        n_uncollected: int,
+        self, p_obj: np.ndarray, p_tag: np.ndarray, v: int, alphas: Sequence[int], grid: LambdaGrid
     ) -> tuple[np.ndarray, np.ndarray]:
-        """sweep_stats by comparing fused scores, one lambda at a time."""
+        """block_stats of one user by comparing fused scores, one lambda at a time."""
+        alphas = np.asarray(alphas, dtype=np.intp)
+        collected = self.dataset.user_object.left_neighbors(v)
+        n_uncollected = self.n_objects - len(collected)
+        lengths = grid.list_lengths
         ranks, hits = [], []
-        for lam in lams.tolist():
-            p = self.combine(p_obj, p_tag, lam)
-            masked = self._uncollected(p, v)
-            lam_ranks, lam_hits = [], [0] * len(list_lengths)
-            for alpha, pa in zip(alphas.tolist(), p[alphas].tolist()):
+        for lam in grid.lams.tolist():
+            masked = self.combine(p_obj, p_tag, lam)
+            masked[collected] = -np.inf
+            lam_ranks, lam_hits = [], [0] * len(lengths)
+            for alpha, pa in zip(alphas.tolist(), masked[alphas].tolist()):
                 greater = _count(masked > pa)
                 equal = _count(masked == pa)
                 before = _count(masked[:alpha] == pa)
                 lam_ranks.append(_midrank(greater, equal, n_uncollected))
-                for j, L in enumerate(list_lengths):
+                for j, L in enumerate(lengths):
                     lam_hits[j] += _listed(pa, greater, before, L)
             ranks.append(lam_ranks)
             hits.append(lam_hits)
         return (
-            np.array(ranks).T.reshape(len(alphas), len(lams)),
-            np.array(hits, dtype=np.int64).reshape(len(lams), len(list_lengths)),
+            np.array(ranks).T.reshape(len(alphas), len(grid.lams)),
+            np.array(hits, dtype=np.int64).reshape(len(grid.lams), len(lengths)),
         )
 
-    def _crossing_counts(
-        self, p_obj: np.ndarray, p_tag: np.ndarray, v: int, alphas: np.ndarray, grid: np.ndarray
+    def _crossing_stats(
+        self, p_obj: np.ndarray, p_tag: np.ndarray, users: np.ndarray,
+        test_objects: Sequence[Sequence[int]], grid: LambdaGrid,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Fused scores fa[i, k] of the test objects alphas at
-        grid = [0, interior points, 1], and counts[:, i, k]: the uncollected
-        objects whose fused score is above, equal to, and equal to with a
-        lower index than fa[i, k], from one pass over them per test object.
+        """block_stats on a crossing grid. Each test pair's counts at every
+        point: the uncollected objects whose fused score is above, equal to,
+        and equal to with a lower index than the test object's, from one
+        pass over the user's row per pair and one crossing stage for the block.
 
         For a test object alpha and a competitor beta let d0 = t_beta - t_alpha
         and d1 = o_beta - o_alpha (t: tag channel, o: object channel). The
@@ -172,55 +187,85 @@ class Scorer:
         beta with |d0| and |d1| both within reach, twice _crossing_margin:
         for those, rounding could decide the comparison.
         """
-        end = len(grid) - 1
-        o, t = self._uncollected(p_obj, v), self._uncollected(p_tag, v)
-        reach = 2.0 * _crossing_margin(p_obj, p_tag, grid)
-        # the grid for bracket points: a bracket at lam = 0 or 1, which the
-        # signs already decide, becomes NaN and compares as neither above nor equal
-        brackets = grid.copy()
-        brackets[[0, end]] = np.nan
-        fa = self.combine(p_obj[alphas, None], p_tag[alphas, None], grid)
-        counts = np.zeros((3, *fa.shape), dtype=np.int64)
-        for i, alpha in enumerate(alphas.tolist()):
-            c, f_alpha = counts[:, i], fa[i]
-            ta, oa = float(p_tag[alpha]), float(p_obj[alpha])
+        points, end = grid.points, len(grid.points) - 1
+        reach = (2.0 * _crossing_margin(p_obj, p_tag, grid.spacing)).tolist()
+        for i, v in enumerate(users.tolist()):
+            collected = self.dataset.user_object.left_neighbors(v)
+            p_obj[i, collected] = p_tag[i, collected] = -np.inf
+        sizes = [len(a) for a in test_objects]
+        rows = np.repeat(np.arange(len(users)), sizes)
+        alphas = np.concatenate(test_objects).astype(np.intp)
+        n = self.n_objects
+        stats, cross, near = [], [], []
+        for i, alpha in zip(rows.tolist(), alphas.tolist()):
+            o, t, r = p_obj[i], p_tag[i], reach[i]
+            oa, ta = float(o[alpha]), float(t[alpha])
             up0, down0 = t > ta, t < ta
             up1, down1 = o > oa, o < oa
+            box = np.flatnonzero((t >= ta - r) & (t <= ta + r))
+            o_box, t_box = o[box], t[box]
+            box = box[(o_box >= oa - r) & (o_box <= oa + r) & ((t_box != ta) | (o_box != oa))]
+            # count a beta in the box as below alpha everywhere, then compare it directly
+            up0[box] = up1[box] = False
+            down0[box] = down1[box] = True
             differ0, differ1 = up0 | down0, up1 | down1
-            near = (t >= ta - reach) & (t <= ta + reach) & (o >= oa - reach) & (o <= oa + reach)
-            near &= differ0 | differ1
-            near = np.flatnonzero(near) if near.any() else near[:0]
-            # count a near beta as below alpha everywhere, then compare it directly
-            up0[near] = up1[near] = False
-            down0[near] = down1[near] = differ0[near] = differ1[near] = True
-
-            n, differ = len(t), differ0 | differ1
-            ties, ties_before = n - _count(differ), alpha - _count(differ[:alpha])
+            differ = differ0 | differ1
+            ties = n - _count(differ)
             # lam = 0 is the tag channel, lam = 1 the object channel
-            c[:, 0] = _count(up0), n - _count(differ0), alpha - _count(differ0[:alpha])
-            c[:, end] = _count(up1), n - _count(differ1), alpha - _count(differ1[:alpha])
-            c[:, 1:end] = (n - _count(down0 | down1) - ties,), (ties,), (ties_before,)
+            stats.append((
+                (_count(up0), n - _count(differ0), alpha - _count(differ0[:alpha])),
+                (_count(up1), n - _count(differ1), alpha - _count(differ1[:alpha])),
+                (n - _count(down0 | down1) - ties, ties, alpha - _count(differ[:alpha])),
+            ))
+            cross.append(np.flatnonzero((up0 & down1) | (down0 & up1)))
+            near.append(box)
 
-            cross = np.flatnonzero((up0 & down1) | (down0 & up1))
-            d0 = t[cross] - ta
-            below = np.searchsorted(grid[1:end], d0 / (d0 - (o[cross] - oa)))
-            # grid[below] and grid[below + 1] bracket lam*; a beta with d0 > 0
-            # is above alpha at grid[1 : below], one with d0 < 0 at
-            # grid[below + 2 : end]
-            falling = d0 > 0.0
-            starts = np.where(falling, 1, np.minimum(below + 2, end))
-            stops = np.where(falling, np.maximum(below, 1), end)
-            c[0] += np.cumsum(
-                np.bincount(starts, minlength=end + 1) - np.bincount(stops, minlength=end + 1)
-            )
-            bracket = np.concatenate((below, below + 1))
-            _compare(c, o, t, np.concatenate((cross, cross)), bracket, brackets, f_alpha, alpha)
-            rows = max(1, _PAIR_CHUNK // len(grid))
-            for start in range(0, len(near), rows):
-                chunk = near[start : start + rows]
-                points = np.tile(np.arange(len(grid)), len(chunk))
-                _compare(c, o, t, np.repeat(chunk, len(grid)), points, grid, f_alpha, alpha)
-        return fa, counts
+        # counts[:, q, k]: above, equal and equal-before for pair q at points[k]
+        n_pairs, width = len(alphas), end + 1
+        stats = np.array(stats, dtype=np.int64).transpose(2, 0, 1)
+        counts = np.empty((3, n_pairs, width), dtype=np.int64)
+        counts[:, :, 0], counts[:, :, end] = stats[:, :, 0], stats[:, :, 1]
+        counts[:, :, 1:end] = stats[:, :, 2, None]
+        flat = counts.reshape(3, -1)
+        o_alpha, t_alpha = p_obj[rows, alphas], p_tag[rows, alphas]
+        fa = self.combine(o_alpha[:, None], t_alpha[:, None], points)
+
+        pair = np.repeat(np.arange(n_pairs), [len(c) for c in cross])
+        beta = np.concatenate(cross)
+        o_beta, t_beta = p_obj[rows[pair], beta], p_tag[rows[pair], beta]
+        d0 = t_beta - t_alpha[pair]
+        below = np.searchsorted(points[1:end], d0 / (d0 - (o_beta - o_alpha[pair])))
+        # points[below] and points[below + 1] bracket lam*; a beta with d0 > 0
+        # is above alpha at points[1 : below], one with d0 < 0 at
+        # points[below + 2 : end]
+        falling = d0 > 0.0
+        key = pair * width
+        starts = key + np.where(falling, 1, np.minimum(below + 2, end))
+        stops = key + np.where(falling, np.maximum(below, 1), end)
+        steps = np.bincount(starts, minlength=flat.shape[1])
+        steps -= np.bincount(stops, minlength=flat.shape[1])
+        counts[0] += np.cumsum(steps.reshape(n_pairs, width), axis=1)
+        lower = beta < alphas[pair]
+        for k in (below, below + 1):
+            _tally(flat, key + k, self.combine(o_beta, t_beta, grid.brackets[k]), fa, lower)
+
+        pair = np.repeat(np.arange(n_pairs), [len(b) for b in near])
+        beta = np.concatenate(near)
+        chunk = max(1, _PAIR_CHUNK // width)
+        for start in range(0, len(beta), chunk):
+            q, b = pair[start : start + chunk], beta[start : start + chunk]
+            f = self.combine(p_obj[rows[q], b, None], p_tag[rows[q], b, None], points)
+            keys = (q * width)[:, None] + np.arange(width)
+            _tally(flat, keys.ravel(), f.ravel(), fa, np.repeat(b < alphas[q], width))
+
+        greater, equal, before = counts[:, :, grid.at]
+        fa = fa[:, grid.at]
+        n_uncollected = n - self.dataset.user_object.left_degrees[users][rows, None]
+        lengths = np.asarray(grid.list_lengths)
+        listed = _listed(fa[..., None], greater[..., None], before[..., None], lengths)
+        first = np.cumsum([0, *sizes[:-1]])
+        hits = np.add.reduceat(listed, first, axis=0, dtype=np.int64)
+        return _midrank(greater, equal, n_uncollected), hits
 
 
 def _count(mask: np.ndarray) -> int:
@@ -241,9 +286,10 @@ def _listed(score, greater, before, L):
     return (score > 0.0) & (greater + before < L)
 
 
-def _crossing_margin(p_obj: np.ndarray, p_tag: np.ndarray, grid: np.ndarray) -> float:
-    """Bound on |d0| + |d1| under which rounding may decide a comparison of
-    fused scores at an interior point of grid (see Scorer._crossing_counts).
+def _crossing_margin(p_obj: np.ndarray, p_tag: np.ndarray, spacing: float) -> np.ndarray:
+    """Bound, for each row of p_obj and p_tag, on |d0| + |d1| under which
+    rounding may decide a comparison of fused scores at an interior point of
+    a grid whose smallest gap is spacing (see Scorer._crossing_stats).
 
     Let u = 2**-53, M = max|p_obj| + max|p_tag|, and s the smallest gap of
     grid = [0, interior points, 1]: the least of the smallest interior lam,
@@ -267,29 +313,21 @@ def _crossing_margin(p_obj: np.ndarray, p_tag: np.ndarray, grid: np.ndarray) -> 
       - u M / 2 > E once s > 6 u. For smaller s the margin is 2 M, and
       every object is compared directly.
     """
-    spacing = float(np.diff(grid).min())
-    scale = float(np.abs(p_obj).max() + np.abs(p_tag).max())
-    margin = _MARGIN_FACTOR * (_UNIT_ROUNDOFF * scale + _SMALLEST_SUBNORMAL) / spacing
-    return min(margin, 2.0 * scale)
+    scale = np.abs(p_obj).max(axis=1) + np.abs(p_tag).max(axis=1)
+    with np.errstate(over="ignore"):  # a margin past the cap may overflow to inf
+        margin = _MARGIN_FACTOR * (_UNIT_ROUNDOFF * scale + _SMALLEST_SUBNORMAL) / spacing
+    return np.minimum(margin, 2.0 * scale)
 
 
-def _compare(
-    c: np.ndarray,
-    o: np.ndarray,
-    t: np.ndarray,
-    beta: np.ndarray,
-    k: np.ndarray,
-    grid: np.ndarray,
-    f_alpha: np.ndarray,
-    alpha: int,
+def _tally(
+    counts: np.ndarray, keys: np.ndarray, f: np.ndarray, fa: np.ndarray, lower: np.ndarray
 ) -> None:
-    """Add to c[:, k] whether the fused score of competitor beta at grid[k]
-    is above, equal to, and equal to with beta < alpha, the test object's
-    f_alpha[k]."""
-    f = Scorer.combine(o[beta], t[beta], grid[k])
-    fa = f_alpha[k]
-    c[0] += np.bincount(k[f > fa], minlength=len(grid))
+    """Add to counts[:, keys] whether each fused score f is above, equal to,
+    and equal to with a lower index (lower) than the test object's fa.flat[keys]."""
+    size = counts.shape[1]
+    fa = fa.reshape(-1)[keys]
+    counts[0] += np.bincount(keys[f > fa], minlength=size)
     tie = f == fa
     if tie.any():
-        c[1] += np.bincount(k[tie], minlength=len(grid))
-        c[2] += np.bincount(k[tie & (beta < alpha)], minlength=len(grid))
+        counts[1] += np.bincount(keys[tie], minlength=size)
+        counts[2] += np.bincount(keys[tie & lower], minlength=size)

@@ -7,6 +7,7 @@ from tridiff.core import (
     TripartiteDataset,
     build_graph,
 )
+from tridiff.recommend import LambdaGrid
 
 # Fixture F1: users {u1,u2,u3}, objects {o1,o2};
 # edges u1-o1, u1-o2, u2-o1, u3-o2.
@@ -85,6 +86,16 @@ def random_tripartite(
     uo_edges = list(zip(*(a.tolist() for a in np.nonzero(uo))))
     ut_edges = list(zip(*(a.tolist() for a in np.nonzero(ut))))
     return make_dataset(uo_edges, ut_edges, m, n, r)
+
+
+def stats_of_one(scorer, p_obj, p_tag, v, test_objects, lambdas, list_lengths):
+    """Scorer.block_stats for a block of one user v, on copies of its score
+    rows: ranks (test object x lambda) and hits (lambda x list length)."""
+    grid = LambdaGrid(lambdas, list_lengths)
+    ranks, hits = scorer.block_stats(
+        np.array([p_obj]), np.array([p_tag]), [v], [test_objects], grid
+    )
+    return ranks, hits[0]
 
 
 def rewrite_snapshot(path, drop=(), **arrays) -> None:

@@ -22,10 +22,10 @@ from tridiff.evaluation import (
     run_sweep,
 )
 from tridiff.ingest import EvaluationSplit, split
-from tridiff.recommend import Scorer
+from tridiff.recommend import LambdaGrid, Scorer
 from tridiff.snapshot import save_dataset
 
-from conftest import make_dataset, random_tripartite
+from conftest import make_dataset, random_tripartite, stats_of_one
 
 
 def rank_third_setup(n=101, test_edges=((0, 3),)):
@@ -80,7 +80,7 @@ class TestRankOfTestPairs:
         ds = make_dataset([(1, 0)], [(1, 0)], 2, len(scores), 1)
         engine = Scorer(ds, "diffusion")
         p = np.array(scores)
-        ranks, _ = engine.sweep_stats(p, p, 0, [target_idx], (1.0,), ())
+        ranks, _ = stats_of_one(engine, p, p, 0, [target_idx], (1.0,), ())
         assert ranks[0, 0] == pytest.approx(expected_midrank / len(scores), abs=1e-15)
 
     def test_monotone_in_score(self):
@@ -89,8 +89,8 @@ class TestRankOfTestPairs:
         engine = Scorer(ds, "diffusion")
         lo_p = np.array([0.9, 0.5, 0.3, 0.0, 0.0])
         hi_p = np.array([0.9, 0.5, 0.7, 0.0, 0.0])
-        lo, _ = engine.sweep_stats(lo_p, lo_p, 0, [2], (1.0,), ())
-        hi, _ = engine.sweep_stats(hi_p, hi_p, 0, [2], (1.0,), ())
+        lo, _ = stats_of_one(engine, lo_p, lo_p, 0, [2], (1.0,), ())
+        hi, _ = stats_of_one(engine, hi_p, hi_p, 0, [2], (1.0,), ())
         assert hi[0, 0] < lo[0, 0]
 
 
@@ -121,21 +121,37 @@ SCORE_POOL = (
 LAMBDA_POOL = (0.0, 1.0, 1e-12, 1.0 - 1e-12, 0.5, np.nextafter(0.5, 1.0), 0.25, 0.75, 0.02, 1 / 3)
 
 
+SCORE = st.one_of(st.sampled_from(SCORE_POOL), st.floats(0.0, 3.0))
+LAMBDA = st.one_of(st.sampled_from(LAMBDA_POOL), st.floats(0.0, 1.0))
+
+
+def draw_user(draw, n):
+    """One user's two channel score vectors over n objects at a drawn scale,
+    its collected objects and 1-4 of its uncollected objects held out."""
+    scale = draw(st.sampled_from((1.0, 1e-300, 1e300)))
+    p_obj = np.array(draw(st.lists(SCORE, min_size=n, max_size=n))) * scale
+    p_tag = np.array(draw(st.lists(SCORE, min_size=n, max_size=n))) * scale
+    collected = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    free = [b for b in range(n) if b not in collected]
+    test_objects = draw(st.lists(st.sampled_from(free), min_size=1, max_size=4, unique=True))
+    return p_obj, p_tag, sorted(collected), test_objects
+
+
 @st.composite
 def sweep_cases(draw):
     """A target's two channel score vectors, its collected objects, its test
     objects and a lambda grid (unsorted, with duplicates)."""
+    user = draw_user(draw, draw(st.integers(2, 24)))
+    return (*user, draw(st.lists(LAMBDA, min_size=1, max_size=16)))
+
+
+@st.composite
+def block_cases(draw):
+    """1-4 users over the same objects, each drawn as in sweep_cases with
+    its own scale, collected and test objects, and one lambda grid."""
     n = draw(st.integers(2, 24))
-    score = st.one_of(st.sampled_from(SCORE_POOL), st.floats(0.0, 3.0))
-    scale = draw(st.sampled_from((1.0, 1e-300, 1e300)))
-    p_obj = np.array(draw(st.lists(score, min_size=n, max_size=n))) * scale
-    p_tag = np.array(draw(st.lists(score, min_size=n, max_size=n))) * scale
-    collected = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
-    free = [b for b in range(n) if b not in collected]
-    test_objects = draw(st.lists(st.sampled_from(free), min_size=1, max_size=4, unique=True))
-    lam = st.one_of(st.sampled_from(LAMBDA_POOL), st.floats(0.0, 1.0))
-    lambdas = draw(st.lists(lam, min_size=1, max_size=16))
-    return p_obj, p_tag, sorted(collected), test_objects, lambdas
+    users = [draw_user(draw, n) for _ in range(draw(st.integers(1, 4)))]
+    return users, draw(st.lists(LAMBDA, min_size=1, max_size=16))
 
 
 class TestSweepStats:
@@ -160,18 +176,40 @@ class TestSweepStats:
         # every grid through the crossing path, then every grid compared directly
         for threshold in (1, len(lambdas) + 1):
             with mock.patch.object(recommend, "MIN_CROSSING_POINTS", threshold):
-                ranks, hits = scorer.sweep_stats(
-                    p_obj, p_tag, 0, test_objects, lambdas, (1, 2, 5)
+                ranks, hits = stats_of_one(
+                    scorer, p_obj, p_tag, 0, test_objects, lambdas, (1, 2, 5)
                 )
             assert np.array_equal(ranks, expected[0])
             assert np.array_equal(hits, expected[1])
 
+    @settings(max_examples=300, deadline=None)
+    @given(block_cases())
+    def test_block_matches_brute_force_per_user(self, case):
+        # rows share object indices but not scales, collected or test objects
+        users, lambdas = case
+        n, b = len(users[0][0]), len(users)
+        uo = [(i, x) for i, (_, _, collected, _) in enumerate(users) for x in collected]
+        ds = make_dataset(uo + [(b, 0)], [(i, 0) for i in range(b + 1)], b + 1, n, 1)
+        scorer = Scorer(ds, "diffusion")
+        p_obj, p_tag, _, test_objects = (list(column) for column in zip(*users))
+        first = np.cumsum([0] + [len(tests) for tests in test_objects])
+        # the path is chosen when the grid is prepared: crossing, then direct
+        for threshold in (1, len(lambdas) + 1):
+            with mock.patch.object(recommend, "MIN_CROSSING_POINTS", threshold):
+                grid = LambdaGrid(lambdas, (1, 2, 5))
+            assert grid.crossing == (threshold == 1 and any(0.0 < lam < 1.0 for lam in lambdas))
+            ranks, hits = scorer.block_stats(
+                np.array(p_obj), np.array(p_tag), range(b), test_objects, grid
+            )
+            for i, (o, t, collected, tests) in enumerate(users):
+                expected = brute_sweep_stats(o, t, collected, tests, lambdas, (1, 2, 5))
+                assert np.array_equal(ranks[first[i] : first[i + 1]], expected[0])
+                assert np.array_equal(hits[i], expected[1])
+
     def test_rejects_lambda_outside_unit_interval(self):
-        scorer = Scorer(make_dataset([(1, 0)], [(1, 0)], 2, 3, 1), "diffusion")
-        p = np.zeros(3)
         for lam in (-0.1, 1.1, float("nan")):
-            with pytest.raises(ValueError):
-                scorer.sweep_stats(p, p, 0, [1], (0.5, lam), (1,))
+            with pytest.raises(ValueError, match=re.escape(f"lambda {lam} is outside")):
+                LambdaGrid((0.5, lam), (1,))
 
 
 class TestRankingScore:
@@ -478,10 +516,17 @@ class TestWorkerPool:
 
     def test_worker_exception_reaches_caller(self, evaluation_split):
         boom = RuntimeError("boom in a worker")
-        with forced_pool() as pool, mock.patch.object(Scorer, "sweep_stats", side_effect=boom):
+        with forced_pool() as pool, mock.patch.object(Scorer, "block_stats", side_effect=boom):
             with pytest.raises(RuntimeError, match="boom in a worker"):
                 evaluate_split(evaluation_split, "diffusion", (0.5,), (5,))
         assert pool.call_count == 1
+
+    def test_bad_lambda_refused_before_fork(self, evaluation_split):
+        for lam in (-0.1, 1.1, float("nan")):
+            with forced_pool() as pool:
+                with pytest.raises(ValueError, match=re.escape(f"lambda {lam} is outside")):
+                    evaluate_split(evaluation_split, "diffusion", (0.5, lam), (5,))
+            pool.assert_not_called()
 
     def test_one_cpu_starts_no_pool(self, evaluation_split):
         inline = evaluate_split(evaluation_split, "diffusion", (0.5,), (5,))

@@ -12,7 +12,7 @@ from tridiff.ingest import split
 from tridiff.recommend import Scorer
 from tridiff.similarity import KINDS, similarity_matrix
 
-from conftest import make_dataset, random_tripartite
+from conftest import make_dataset, random_tripartite, stats_of_one
 
 
 def scores(dataset, target, sims):
@@ -139,7 +139,7 @@ class TestListsMatchEvaluation:
         for grid in ((0.0, 0.5, 1.0), lambda_grid(0.0, 1.0, 0.05)):
             for v, alpha in evaluation_split.test_edges.tolist():
                 p_obj, p_tag = (p[0] for p in scorer.channel_scores([v]))
-                _, hits = scorer.sweep_stats(p_obj, p_tag, v, [alpha], grid, (5, 10))
+                _, hits = stats_of_one(scorer, p_obj, p_tag, v, [alpha], grid, (5, 10))
                 for g, lam in enumerate(grid):
                     p = scorer.combine(p_obj, p_tag, lam)
                     for j, L in enumerate((5, 10)):

@@ -208,7 +208,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         return 2
     out = Path(args.out)
     dataset = _load_snapshot(out)
-    try:  # one scan of the ids; building index_of would cost more
+    try:  # one scan of the ids; a dict over them would cost more to build
         v = dataset.users.external_ids.index(args.user)
     except ValueError:
         print(f"error: unknown user id {args.user!r}", file=sys.stderr)

@@ -1,9 +1,11 @@
 """Core data model: entity index maps, bipartite adjacency, tripartite container.
 
 Graphs are immutable after construction. Adjacency is binary; duplicate
-input edges collapse to a single edge. Neighbor lists (the CSR indices) are
-kept sorted, which fixes the order in which the similarity and scoring
-products sum their terms, and so their floats.
+input edges collapse to a single edge. A graph holds its canonical CSR
+arrays (indptr, indices) and is the one place that checks them. Neighbor
+lists (the CSR indices) are kept sorted, which fixes the order in which the
+similarity and scoring products sum their terms, and so their floats. The
+sparse-matrix library is imported only when a product first needs a matrix.
 """
 
 from __future__ import annotations
@@ -13,12 +15,11 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import sparse
 
 
 class GraphConstructionError(ValueError):
-    """Raised when an edge is not a (left, right) pair of integers or its
-    indices are outside the declared node ranges."""
+    """Raised when an edge is not a (left, right) pair of integers, an index
+    is outside the declared node ranges, or CSR arrays are not canonical."""
 
 
 @dataclass(frozen=True)
@@ -34,68 +35,74 @@ class EntityIndexMap:
         """Build a map assigning dense indices in first-seen order."""
         return cls(external_ids=tuple(dict.fromkeys(ids)))
 
-    @cached_property
-    def index_of(self) -> dict[str, int]:
-        """Id -> index, built on first use."""
-        return {ext: i for i, ext in enumerate(self.external_ids)}
-
     def __len__(self) -> int:
         return len(self.external_ids)
 
 
 class BipartiteGraph:
-    """Sparse binary bipartite adjacency, held as one CSR matrix (left -> right).
+    """Sparse binary bipartite adjacency (left -> right) in canonical CSR form.
 
-    Left nodes are users; right nodes are objects or tags. Right degrees are
-    counted from the CSR indices; no right -> left copy is kept.
+    Left nodes are users; right nodes are objects or tags. Row u's right
+    nodes are indices[indptr[u] : indptr[u + 1]]. Raises
+    GraphConstructionError unless indptr and indices are 1-D signed integer
+    arrays, indptr rises from 0 to len(indices), every index lies in
+    [0, right_count), and every row is strictly increasing (sorted, no
+    repeated edge). The arrays are kept as given; do not mutate them.
     """
 
-    def __init__(self, matrix: sparse.csr_matrix):
-        matrix.sum_duplicates()
-        matrix.sort_indices()
-        self._csr = matrix
-        self._left_degrees = np.diff(matrix.indptr)
-        self._right_degrees = np.bincount(matrix.indices, minlength=matrix.shape[1])
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, right_count: int):
+        for name, array in (("indptr", indptr), ("indices", indices)):
+            if not isinstance(array, np.ndarray) or array.dtype.kind != "i" or array.ndim != 1:
+                raise GraphConstructionError(f"{name} must be a 1-D signed integer array")
+        if len(indptr) == 0 or indptr[0] != 0 or indptr[-1] != len(indices):
+            raise GraphConstructionError(f"indptr must run from 0 to len(indices), {len(indices)}")
+        if (indptr[1:] < indptr[:-1]).any():
+            raise GraphConstructionError("indptr decreases")
+        if len(indices) and (indices.min() < 0 or indices.max() >= right_count):
+            raise GraphConstructionError(f"right index out of range [0, {right_count})")
+        row_start = np.zeros(len(indices) + 1, dtype=bool)
+        row_start[indptr] = True
+        if not ((indices[1:] > indices[:-1]) | row_start[1:-1]).all():
+            raise GraphConstructionError("a row has unsorted or repeated indices")
+        self.indptr = indptr
+        self.indices = indices
+        self.right_count = int(right_count)
+        self.left_degrees = np.diff(indptr)
 
     @property
     def left_count(self) -> int:
-        return self._csr.shape[0]
-
-    @property
-    def right_count(self) -> int:
-        return self._csr.shape[1]
+        return len(self.indptr) - 1
 
     @property
     def edge_count(self) -> int:
-        return int(self._csr.nnz)
+        return len(self.indices)
 
-    @property
-    def matrix(self) -> sparse.csr_matrix:
-        """CSR adjacency (left x right), values all 1.0. Do not mutate."""
-        return self._csr
+    @cached_property
+    def right_degrees(self) -> np.ndarray:
+        return np.bincount(self.indices, minlength=self.right_count)
+
+    @cached_property
+    def matrix(self):
+        """CSR matrix (left x right) over the graph's arrays, values all 1.0,
+        for the similarity and scoring products. Do not mutate."""
+        from scipy import sparse
+
+        return sparse.csr_matrix(
+            (np.ones(len(self.indices)), self.indices, self.indptr),
+            shape=(self.left_count, self.right_count),
+        )
 
     def left_neighbors(self, u: int) -> np.ndarray:
         """Sorted right-node indices adjacent to left node u."""
         if not 0 <= u < self.left_count:
             raise IndexError(f"left index {u} out of range [0, {self.left_count})")
-        return self._csr.indices[self._csr.indptr[u] : self._csr.indptr[u + 1]]
-
-    def left_degree(self, u: int) -> int:
-        return len(self.left_neighbors(u))
-
-    @property
-    def left_degrees(self) -> np.ndarray:
-        return self._left_degrees
-
-    @property
-    def right_degrees(self) -> np.ndarray:
-        return self._right_degrees
+        return self.indices[self.indptr[u] : self.indptr[u + 1]]
 
     def edge_array(self) -> np.ndarray:
         """All edges as an (E, 2) array of (left, right) rows, sorted
         lexicographically (the row-major order of the canonical CSR)."""
-        coo = self._csr.tocoo()
-        return np.column_stack((coo.row, coo.col))
+        rows = np.arange(self.left_count, dtype=self.indices.dtype)
+        return np.column_stack((np.repeat(rows, self.left_degrees), self.indices))
 
 
 def build_graph(
@@ -103,7 +110,8 @@ def build_graph(
 ) -> BipartiteGraph:
     """Build a binary bipartite graph from (left, right) pairs, given as an
     (E, 2) integer array or anything np.asarray turns into one; duplicate
-    pairs collapse to one edge."""
+    pairs collapse to one edge. The CSR arrays are int32 while the node and
+    edge counts stay below 2**31, else int64, as the sparse products expect."""
     try:
         edges = np.asarray(edges)
     except ValueError as exc:  # ragged pairs
@@ -119,12 +127,14 @@ def build_graph(
         raise GraphConstructionError(f"left index out of range [0, {left_count})")
     if right.size and (right.min() < 0 or right.max() >= right_count):
         raise GraphConstructionError(f"right index out of range [0, {right_count})")
-    mat = sparse.csr_matrix(
-        (np.ones(len(edges)), (left, right)), shape=(left_count, right_count)
-    )
-    mat.sum_duplicates()
-    mat.data[:] = 1.0  # collapse duplicates to binary
-    return BipartiteGraph(mat)
+    # edge keys in row-major order, sorted and deduplicated (np.unique hashes: slower)
+    keys = np.sort(left.astype(np.int64) * right_count + right.astype(np.int64))
+    keys = keys[np.diff(keys, prepend=-1) > 0]
+    rows, cols = np.divmod(keys, right_count)
+    dtype = np.int32 if max(left_count, right_count, len(keys)) < 2**31 else np.int64
+    indptr = np.zeros(left_count + 1, dtype=dtype)
+    np.cumsum(np.bincount(rows, minlength=left_count), out=indptr[1:])
+    return BipartiteGraph(indptr, cols.astype(dtype), right_count)
 
 
 @dataclass(frozen=True)

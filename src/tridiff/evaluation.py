@@ -228,9 +228,9 @@ def _scored_blocks(state: tuple, n_users: int) -> list[tuple[np.ndarray, np.ndar
     workers = min(_usable_cpus(), len(starts)) if len(starts) >= MIN_POOL_BLOCKS else 1
     if workers < 2:
         return [_score_block(*state, start) for start in starts]
-    # fork, not spawn: a spawned pool re-imports numpy and scipy and unpickles
+    # fork, not spawn: a spawned pool re-imports the libraries and unpickles
     # the ~6 MB scorer in each worker, ~1 s against ~25 ms for a forked one.
-    # The workers make no BLAS call (scipy's sparse products and numpy's
+    # The workers make no BLAS call (sparse products and numpy's
     # element-wise ops, sorts and sums only), so the BLAS thread that exists
     # after `import numpy`, which Python 3.12's fork DeprecationWarning
     # counts, holds no lock a worker could need.

@@ -181,14 +181,17 @@ def core_filter(records: RawRecords) -> TripartiteDataset:
     """
     obj_users, obj_codes = records.object_events.T
     tag_users, tag_codes = records.tag_events.T
-    A = build_graph(records.object_events, len(records.users), len(records.objects)).matrix
-    T = build_graph(records.tag_events, len(records.users), len(records.tags)).matrix
+    m, n, r = len(records.users), len(records.objects), len(records.tags)
+    # the distinct edges, as intp: numpy gathers with int32 indices ~1.5x slower
+    ou, oc = build_graph(records.object_events, m, n).edge_array().T.astype(np.intp)
+    tu, tc = build_graph(records.tag_events, m, r).edge_array().T.astype(np.intp)
 
-    live = np.ones(len(records.users), dtype=bool)
+    live = np.ones(m, dtype=bool)
     while True:
-        live_obj = A.T @ live >= 2
-        live_tag = T.T @ live >= 2
-        kept = live & (A @ live_obj > 0) & (T @ live_tag > 0)
+        live_obj = np.bincount(oc[live[ou]], minlength=n) >= 2
+        live_tag = np.bincount(tc[live[tu]], minlength=r) >= 2
+        kept = live & (np.bincount(ou[live_obj[oc]], minlength=m) > 0)
+        kept &= np.bincount(tu[live_tag[tc]], minlength=m) > 0
         if np.array_equal(kept, live):
             break
         live = kept

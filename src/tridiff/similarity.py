@@ -36,7 +36,7 @@ def similarity_matrix(graph: BipartiteGraph, users: Sequence[int], kind: str) ->
 
     It is (graph.matrix @ x).T, where column i of the dense x holds users[i]'s
     edge weights (1 / (k_v * k_alpha) for diffusion, 1.0 for the overlap
-    counts) and 0.0 off its right nodes. scipy sums each entry over the
+    counts) and 0.0 off its right nodes. The product sums each entry over the
     user's sorted right nodes; the zeros add +0.0, so it is the sum over the
     shared right nodes in ascending order. Degrees are floored at 1 in the
     normalisation: 0 / 0 becomes 0 / positive; no positive overlap's divisor moves.
@@ -47,8 +47,8 @@ def similarity_matrix(graph: BipartiteGraph, users: Sequence[int], kind: str) ->
     k_v = graph.left_degrees[users]
     # the targets' edges, target by target: their CSR positions and right nodes
     owner = np.repeat(np.arange(len(users)), k_v)
-    first = graph.matrix.indptr[users] - (np.cumsum(k_v) - k_v)
-    right = graph.matrix.indices[np.arange(len(owner)) + np.repeat(first, k_v)]
+    first = graph.indptr[users] - (np.cumsum(k_v) - k_v)
+    right = graph.indices[np.arange(len(owner)) + np.repeat(first, k_v)]
     x = np.zeros((graph.right_count, len(users)))
     if kind == DIFFUSION:
         x[right, owner] = 1.0 / (k_v.astype(np.int64)[owner] * graph.right_degrees[right])

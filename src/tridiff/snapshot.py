@@ -2,10 +2,10 @@
 
 An uncompressed .npz archive of the user, object and tag ids (str arrays), a
 format version and, for each of the user-object and user-tag graphs, its
-canonical CSR arrays `<graph>_indptr` and `<graph>_indices`, in scipy's
-index dtype (int32 below 2**31 edges). Loading builds each CSR matrix from
-them as they are, without a sort, and checks that they are canonical.
-zipfile checks the CRC-32 of each member on read.
+canonical CSR arrays `<graph>_indptr` and `<graph>_indices` (int32 below
+2**31 nodes and edges). Loading hands them as they are, without a sort, to
+BipartiteGraph, which checks that they are canonical. zipfile checks the
+CRC-32 of each member on read.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ from pathlib import Path
 from zipfile import BadZipFile
 
 import numpy as np
-from scipy import sparse
 
-from .core import BipartiteGraph, EntityIndexMap, TripartiteDataset
+from .core import BipartiteGraph, EntityIndexMap, GraphConstructionError, TripartiteDataset
 
 SNAPSHOT_NAME = "dataset.npz"
 FORMAT_VERSION = 2
@@ -47,25 +46,13 @@ def _index_map(name: str, ids: np.ndarray) -> EntityIndexMap:
     return EntityIndexMap(tuple(external_ids))
 
 
-def _graph(npz, name: str, shape: tuple[int, int]) -> BipartiteGraph:
-    """The graph whose canonical CSR arrays npz holds under name; raises
-    ValueError unless they are exactly that: integer arrays, an indptr of
-    length left + 1 rising from 0 to len(indices), and indices in range and
-    strictly increasing within each row."""
-    indptr, indices = npz[f"{name}_indptr"], npz[f"{name}_indices"]
-    for member, array in (("indptr", indptr), ("indices", indices)):
-        if array.dtype.kind not in "iu":  # scipy would cast float indices
-            raise ValueError(f"{name}_{member} must be integers, got {array.dtype}")
+def _graph(npz, name: str, right_count: int) -> BipartiteGraph:
+    """The graph whose CSR arrays npz holds under name; raises ValueError,
+    naming the graph, unless BipartiteGraph accepts them."""
     try:
-        matrix = sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=shape)
-        matrix.check_format(full_check=True)
-    except ValueError as exc:
+        return BipartiteGraph(npz[f"{name}_indptr"], npz[f"{name}_indices"], right_count)
+    except GraphConstructionError as exc:
         raise ValueError(f"{name}: {exc}") from exc
-    if matrix.nnz != len(indices):  # check_format drops indices past indptr[-1]
-        raise ValueError(f"{name}_indices holds {len(indices)} indices, indptr {matrix.nnz}")
-    if not matrix.has_canonical_format:
-        raise ValueError(f"{name} has a row with unsorted or repeated indices")
-    return BipartiteGraph(matrix)
 
 
 def save_dataset(dataset: TripartiteDataset, directory: Path) -> Path:
@@ -81,9 +68,9 @@ def save_dataset(dataset: TripartiteDataset, directory: Path) -> Path:
         "tags": _id_array(dataset.tags),
     }
     for name in ("user_object", "user_tag"):
-        matrix = getattr(dataset, name).matrix
-        arrays[f"{name}_indptr"] = matrix.indptr
-        arrays[f"{name}_indices"] = matrix.indices
+        graph = getattr(dataset, name)
+        arrays[f"{name}_indptr"] = graph.indptr
+        arrays[f"{name}_indices"] = graph.indices
     path = directory / SNAPSHOT_NAME
     partial = path.with_name(path.name + ".tmp")
     try:
@@ -119,8 +106,8 @@ def load_dataset(directory: Path) -> TripartiteDataset:
                     users=users,
                     objects=objects,
                     tags=tags,
-                    user_object=_graph(npz, "user_object", (len(users), len(objects))),
-                    user_tag=_graph(npz, "user_tag", (len(users), len(tags))),
+                    user_object=_graph(npz, "user_object", len(objects)),
+                    user_tag=_graph(npz, "user_tag", len(tags)),
                 )
         except _DAMAGE as exc:
             raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc

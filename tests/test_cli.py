@@ -138,6 +138,24 @@ class TestIngest:
         assert done.stderr == "error: dataset is empty after core filtering\n"
         assert done.stdout == ""
 
+    def test_ingest_process_imports_no_scipy(self, data_files, tmp_path):
+        # only the similarity and scoring products need scipy
+        objects, tags = data_files
+        argv = ["ingest", "--objects", str(objects), "--tags", str(tags),
+                "--out", str(tmp_path / "out")]
+        code = (
+            "import sys\n"
+            "from tridiff.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "assert 'scipy' not in sys.modules, [m for m in sys.modules if 'scipy' in m]\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "out" / SNAPSHOT_NAME).is_file()
+
     def test_nan_rating_threshold_exit_2(self, data_files, tmp_path, capsys):
         objects, tags = data_files
         out = tmp_path / "out"

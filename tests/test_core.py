@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from tridiff.core import (
+    BipartiteGraph,
     EntityIndexMap,
     GraphConstructionError,
     build_graph,
@@ -31,30 +35,30 @@ class TestEntityIndexMap:
     def test_first_seen_order(self):
         idx = EntityIndexMap.from_ids(["b", "a", "b", "c", "a"])
         assert idx.external_ids == ("b", "a", "c")
-        assert [idx.index_of[e] for e in idx.external_ids] == [0, 1, 2]
+        assert [idx.external_ids.index(e) for e in idx.external_ids] == [0, 1, 2]
 
     def test_bijection(self):
         idx = EntityIndexMap.from_ids(str(i % 7) for i in range(30))
         for i, ext in enumerate(idx.external_ids):
-            assert idx.index_of[ext] == i
-        assert sorted(idx.index_of.values()) == list(range(len(idx)))
+            assert idx.external_ids.index(ext) == i
+        assert sorted(idx.external_ids.index(e) for e in idx.external_ids) == list(range(len(idx)))
 
 
 class TestBuildGraph:
     def test_empty(self):
         g = build_graph([], 3, 2)
         assert g.edge_count == 0
-        assert all(g.left_degree(u) == 0 for u in range(3))
+        assert all(g.left_degrees[u] == 0 for u in range(3))
         assert g.right_degrees.tolist() == [0, 0]
 
     def test_duplicate_collapse(self):
         g = build_graph([(0, 0), (0, 0), (0, 1)], 2, 2)
         assert g.edge_count == 2
-        assert g.left_degree(0) == 2
+        assert g.left_degrees[0] == 2
 
     def test_f1_degrees(self):
         g = build_graph(F1_EDGES, 3, 2)
-        assert [g.left_degree(u) for u in range(3)] == [2, 1, 1]
+        assert [g.left_degrees[u] for u in range(3)] == [2, 1, 1]
         assert g.right_degrees.tolist() == [2, 2]
 
     def test_out_of_range(self):
@@ -79,6 +83,80 @@ class TestBuildGraph:
         g = build_graph(F1_EDGES, 3, 2)
         with pytest.raises(IndexError):
             g.left_neighbors(3)
+
+
+# a valid graph: u0: {0, 2}, u1: {}, u2: {1}; right_count 3
+GOOD_INDPTR, GOOD_INDICES = [0, 2, 2, 3], [0, 2, 1]
+
+
+class TestBipartiteGraphChecks:
+    @pytest.mark.parametrize(
+        "indptr, indices, reason",
+        [
+            (GOOD_INDPTR, [0, 0, 1], "repeated"),  # u0 holds 0 twice
+            (GOOD_INDPTR, [2, 0, 1], "unsorted"),
+            (GOOD_INDPTR, [0, 3, 1], "out of range"),
+            (GOOD_INDPTR, [0, -1, 1], "out of range"),
+            (GOOD_INDPTR, [0.0, 2.0, 1.0], "indices must be"),
+            (GOOD_INDPTR, np.array([0, 2, 1], dtype=np.uint32), "indices must be"),
+            (GOOD_INDPTR, [[0, 2, 1]], "indices must be"),
+            ([1, 2, 2, 3], GOOD_INDICES, "from 0"),
+            ([0, 2, 1, 3], GOOD_INDICES, "decreases"),
+            ([0, 2, 2, 2], GOOD_INDICES, "len(indices), 3"),  # ends before the last index
+            ([0, 2, 2, 4], GOOD_INDICES, "len(indices), 3"),  # ends past it
+            (np.zeros(0, dtype=np.int64), GOOD_INDICES, "from 0"),  # no row count
+            ([0.0, 2.0, 2.0, 3.0], GOOD_INDICES, "indptr must be"),
+        ],
+        ids=[
+            "repeated_edge", "unsorted_row", "index_too_large", "negative_index",
+            "float_indices", "unsigned_indices", "2d_indices", "indptr_start",
+            "indptr_decreasing", "indptr_short", "indptr_long", "empty_indptr",
+            "float_indptr",
+        ],
+    )
+    def test_refuses_non_canonical_csr(self, indptr, indices, reason):
+        good = BipartiteGraph(np.array(GOOD_INDPTR), np.array(GOOD_INDICES), 3)
+        assert good.matrix.data.tolist() == [1.0, 1.0, 1.0]
+        assert good.matrix.toarray().tolist() == [[1, 0, 1], [0, 0, 0], [0, 1, 0]]
+        with pytest.raises(GraphConstructionError, match=re.escape(reason)):
+            BipartiteGraph(np.asarray(indptr), np.asarray(indices), 3)
+
+
+def scipy_csr(edges, m, n):
+    """scipy's coo -> csr reference, duplicates summed."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    matrix = sparse.coo_matrix(
+        (np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(m, n)
+    ).tocsr()
+    matrix.sum_duplicates()
+    return matrix
+
+
+@st.composite
+def wide_edge_lists(draw):
+    """Edge lists with repeats, empty rows or no edges at all, and indices
+    at the last node, over right counts up to past the int32 range."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.sampled_from([1, 2, 7, 2**31 - 1, 2**31, 2**40]))
+
+    def node(count):
+        return st.one_of(st.just(count - 1), st.just(0), st.integers(0, count - 1))
+
+    pairs = draw(st.lists(st.tuples(node(m), node(n)), max_size=30))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=5))  # repeats
+    return m, n, pairs
+
+
+class TestBuildGraphMatchesScipy:
+    @settings(max_examples=200, deadline=None)
+    @given(wide_edge_lists())
+    def test_same_csr_arrays_and_dtype(self, spec):
+        m, n, edges = spec
+        g, ref = build_graph(edges, m, n), scipy_csr(edges, m, n)
+        assert g.indptr.tolist() == ref.indptr.tolist()
+        assert g.indices.tolist() == ref.indices.tolist()
+        assert g.indptr.dtype == g.indices.dtype == ref.indptr.dtype == ref.indices.dtype
 
 
 class TestGraphInvariants:
@@ -122,16 +200,16 @@ class TestGraphInvariants:
 
 class TestTripartiteDataset:
     def test_degree_accessors(self, f1_dataset):
-        assert f1_dataset.user_object.left_degree(0) == 2
-        assert f1_dataset.user_tag.left_degree(0) == 1
+        assert f1_dataset.user_object.left_degrees[0] == 2
+        assert f1_dataset.user_tag.left_degrees[0] == 1
 
     def test_zero_degree_user(self):
         ds = make_dataset([(1, 0)], [(0, 0), (1, 0)], 2, 1, 1)
-        assert ds.user_object.left_degree(0) == 0
+        assert ds.user_object.left_degrees[0] == 0
 
     def test_degree_out_of_range(self, f1_dataset):
         with pytest.raises(IndexError):
-            f1_dataset.user_object.left_degree(3)
+            len(f1_dataset.user_object.left_neighbors(3))
 
     def test_star_user_degree(self):
         # one user linked to every object and every tag
@@ -139,8 +217,8 @@ class TestTripartiteDataset:
         ds = make_dataset(
             [(0, x) for x in range(n)], [(0, t) for t in range(r)], 1, n, r
         )
-        assert ds.user_object.left_degree(0) == n
-        assert ds.user_tag.left_degree(0) == r
+        assert ds.user_object.left_degrees[0] == n
+        assert ds.user_tag.left_degrees[0] == r
 
     def test_mismatched_user_counts_rejected(self):
         with pytest.raises(ValueError):

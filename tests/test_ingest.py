@@ -520,8 +520,8 @@ class TestCoreFilter:
         assert (ds.user_object.right_degrees >= 2).all()
         assert (ds.user_tag.right_degrees >= 2).all()
         for u in range(len(ds.users)):
-            assert ds.user_object.left_degree(u) >= 1
-            assert ds.user_tag.left_degree(u) >= 1
+            assert ds.user_object.left_degrees[u] >= 1
+            assert ds.user_tag.left_degrees[u] >= 1
         # idempotence up to index relabeling: compare by external ids
         again = core_filter(records_from_dataset(ds))
         assert set(again.users.external_ids) == set(ds.users.external_ids)

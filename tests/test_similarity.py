@@ -43,7 +43,7 @@ class TestDiffusionRow:
             g = random_graph(rng)
             rows = all_rows(g)
             for v in range(g.left_count):
-                if g.left_degree(v) >= 1:
+                if g.left_degrees[v] >= 1:
                     total = sum(rows[v])
                     assert abs(total - 1.0) < 1e-12
 

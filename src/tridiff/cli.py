@@ -6,14 +6,10 @@ Diagnostics go to stderr, data to stdout and files.
 from __future__ import annotations
 
 import argparse
-import errno
-import json
-import os
 import sys
 from pathlib import Path
 
 from . import evaluation, ingest, similarity, snapshot
-from .core import TripartiteDataset
 from .evaluation import ExperimentConfig, MetricsReport
 from .recommend import Scorer
 
@@ -72,8 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 class FileAccessError(Exception):
-    """An input file that cannot be read as UTF-8 text, or a report file
-    that cannot be written."""
+    """An input file that cannot be opened or read as UTF-8 text. Files of
+    the run directory fail as snapshot.SnapshotError."""
 
 
 def _lines(label: str, path: str):
@@ -84,27 +80,6 @@ def _lines(label: str, path: str):
             yield from fh
     except (OSError, UnicodeDecodeError) as exc:
         raise FileAccessError(f"cannot read {label} file {path}: {exc}") from exc
-
-
-def _write_files(texts: dict[Path, str]) -> None:
-    """Writes UTF-8 report files as one set. Each is written under a temporary
-    name, and all are renamed into place only after every write succeeded, so
-    a failure leaves the previous set as it was. A file with a directory in
-    its place fails before any rename. A failure raises FileAccessError
-    naming the file."""
-    partials = {path: path.with_name(path.name + ".tmp") for path in texts}
-    try:
-        for path, text in texts.items():
-            if path.is_dir():
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-            partials[path].write_text(text, encoding="utf-8")
-        for path, partial in partials.items():
-            os.replace(partial, path)
-    except OSError as exc:
-        raise FileAccessError(f"cannot write {path}: {exc}") from exc
-    finally:
-        for partial in partials.values():
-            partial.unlink(missing_ok=True)
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -128,22 +103,18 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if dataset.is_empty:
         print("error: dataset is empty after core filtering", file=sys.stderr)
         return 1
-    out = Path(args.out)
-    snapshot.save_dataset(dataset, out)
-    info = json.dumps(snapshot.summary(dataset), indent=2)
-    _write_files({out / "summary.json": info})
-    print(info)
+    snapshot.save_dataset(dataset, Path(args.out))
+    print(snapshot.summary(dataset))
     return 0
 
 
-def _csv(header: list[str], rows: list[list[str]]) -> str:
-    return "\n".join(",".join(row) for row in [header, *rows]) + "\n"
+def _csv(header: list[str], rows: list[list[str]]) -> bytes:
+    return ("\n".join(",".join(row) for row in [header, *rows]) + "\n").encode("utf-8")
 
 
-def write_reports(report: MetricsReport, kind: str, out: Path) -> None:
+def _report_files(report: MetricsReport, kind: str, out: Path) -> dict[Path, bytes]:
     """sweep_<kind>.csv (one row per cell), summary_<kind>.csv (per-lambda
-    means) and optima_<kind>.csv (the best lambda of each metric), written
-    as one set."""
+    means) and optima_<kind>.csv (the best lambda of each metric)."""
     names = evaluation.metric_names(report.config.list_lengths)
     grid = [_float_fmt(lam) for lam in report.config.lambda_grid]
     cells = [
@@ -153,23 +124,16 @@ def write_reports(report: MetricsReport, kind: str, out: Path) -> None:
     ]
     means = [[kind, lam, *map(_float_fmt, row)] for lam, row in zip(grid, report.means.tolist())]
     optima = [[name, *map(_float_fmt, best)] for name, best in report.optima.items()]
-    _write_files({
+    return {
         out / f"sweep_{kind}.csv": _csv(["similarity", "lambda", "run", *names], cells),
         out / f"summary_{kind}.csv": _csv(["similarity", "lambda", *names], means),
         out / f"optima_{kind}.csv": _csv(["metric", "lambda", "value"], optima),
-    })
-
-
-def _load_snapshot(out: Path) -> TripartiteDataset:
-    try:
-        return snapshot.load_dataset(out)
-    except FileNotFoundError as exc:
-        raise snapshot.SnapshotError(f"no snapshot in {out}; run ingest first") from exc
+    }
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    dataset = _load_snapshot(out)
+    dataset = snapshot.load_dataset(out)
     try:
         if args.lambda_ is not None:
             grid = (args.lambda_,)
@@ -191,8 +155,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except evaluation.UndefinedMetricError as exc:  # a split that holds out nothing
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    for kind, report in reports.items():
-        write_reports(report, kind, out)
+    # one set for all kinds, so that a failed write changes no kind's reports
+    snapshot.write_files({
+        path: data
+        for kind, report in reports.items()
+        for path, data in _report_files(report, kind, out).items()
+    })
+    for kind in reports:
         print(f"wrote {out / f'sweep_{kind}.csv'}", file=sys.stderr)
     return 0
 
@@ -207,7 +176,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         print(f"usage error: L must be >= 1, got {args.L}", file=sys.stderr)
         return 2
     out = Path(args.out)
-    dataset = _load_snapshot(out)
+    dataset = snapshot.load_dataset(out)
     try:  # one scan of the ids; a dict over them would cost more to build
         v = dataset.users.external_ids.index(args.user)
     except ValueError:

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -177,7 +178,7 @@ class TestIngest:
         assert rc == 1
         err = capsys.readouterr().err
         last = err.splitlines()[-1]
-        assert last.startswith(f"error: cannot write snapshot {out / SNAPSHOT_NAME}:")
+        assert last.startswith(f"error: cannot write {out / SNAPSHOT_NAME}:")
         assert "Traceback" not in err
         assert out.read_text(encoding="utf-8") == "not a directory"
 
@@ -192,6 +193,35 @@ class TestIngest:
         assert len(errors) == 1
         assert errors[0].startswith(f"error: cannot write {out / 'summary.json'}:")
         assert captured.out == ""
+        assert {p.name for p in out.iterdir()} == {"summary.json"}
+
+    @pytest.mark.parametrize("name", [SNAPSHOT_NAME, "summary.json"])
+    def test_temporary_name_taken_by_a_directory(self, data_files, tmp_path, capsys, name):
+        objects, tags = data_files
+        out = tmp_path / "out"
+        (out / f"{name}.tmp").mkdir(parents=True)
+        rc = main(["ingest", "--objects", str(objects), "--tags", str(tags), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(f"error: cannot write {out / name}:")
+        assert "Traceback" not in err
+        assert {p.name for p in out.iterdir()} == {f"{name}.tmp"}
+
+    def test_summary_unwritable_keeps_earlier_snapshot(self, snapshot_dir, data_files, capsys):
+        # an earlier good ingest, then one of more events whose summary fails
+        objects, tags = data_files
+        objects.write_text(OBJECT_LINES + "3\t101\t4\n", encoding="utf-8")
+        (snapshot_dir / "summary.json").unlink()
+        earlier = (snapshot_dir / SNAPSHOT_NAME).read_bytes()
+        (snapshot_dir / "summary.json").mkdir()
+        capsys.readouterr()
+        rc = main(
+            ["ingest", "--objects", str(objects), "--tags", str(tags), "--out", str(snapshot_dir)]
+        )
+        assert rc == 1
+        assert capsys.readouterr().out == ""
+        assert (snapshot_dir / SNAPSHOT_NAME).read_bytes() == earlier
+        assert {p.name for p in snapshot_dir.iterdir()} == {SNAPSHOT_NAME, "summary.json"}
 
 
 class TestSweep:
@@ -323,6 +353,24 @@ class TestSweep:
         assert after == earlier
         assert {p.name for p in snapshot_dir.iterdir()} == {*earlier, "summary_diffusion.csv"}
 
+    def test_kinds_written_as_one_set(self, snapshot_dir, capsys):
+        # an earlier two-kind run's reports, then a directory in the last kind's
+        # summary's place: no file of either kind may change
+        argv = ["sweep", "--out", str(snapshot_dir), "--similarity", "diffusion,cosine",
+                "--runs", "1", "--L", "2"]
+        assert main([*argv, "--lambda", "0.5"]) == 0
+        (snapshot_dir / "summary_cosine.csv").unlink()
+        earlier = {p.name: p.read_bytes() for p in snapshot_dir.iterdir()}
+        (snapshot_dir / "summary_cosine.csv").mkdir()
+        capsys.readouterr()
+        assert main([*argv, "--lambda", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {snapshot_dir / 'summary_cosine.csv'}:")
+        assert len(err.splitlines()) == 1
+        after = {p.name: p.read_bytes() for p in snapshot_dir.iterdir() if p.is_file()}
+        assert after == earlier
+        assert {p.name for p in snapshot_dir.iterdir()} == {*earlier, "summary_cosine.csv"}
+
     def test_missing_snapshot(self, tmp_path, capsys):
         rc = main(["sweep", "--out", str(tmp_path / "void")])
         assert rc == 1
@@ -443,6 +491,10 @@ DAMAGES = {
     ),
     "object_member": lambda path: rewrite_snapshot(
         path, tags=np.array(["funny", None], dtype=object)
+    ),
+    "directory": lambda path: (path.unlink(), path.mkdir()),
+    "out_is_a_file": lambda path: (
+        shutil.rmtree(path.parent), path.parent.write_text("not a directory", encoding="utf-8")
     ),
 }
 

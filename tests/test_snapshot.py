@@ -26,12 +26,13 @@ def test_round_trip(dataset, tmp_path):
     assert again.users.external_ids == dataset.users.external_ids
     assert again.user_object.edge_array().tolist() == dataset.user_object.edge_array().tolist()
     assert again.user_tag.edge_array().tolist() == dataset.user_tag.edge_array().tolist()
-    assert [p.name for p in tmp_path.iterdir()] == [SNAPSHOT_NAME]
+    assert {p.name for p in tmp_path.iterdir()} == {SNAPSHOT_NAME, "summary.json"}
 
 
 def test_failed_write_keeps_previous_snapshot(dataset, tmp_path, monkeypatch):
     path = save_dataset(dataset, tmp_path)
     before = path.read_bytes()
+    summary_before = (tmp_path / "summary.json").read_bytes()
 
     def write_then_fail(fh, **arrays):
         fh.write(b"PK\x03\x04")
@@ -41,7 +42,8 @@ def test_failed_write_keeps_previous_snapshot(dataset, tmp_path, monkeypatch):
     with pytest.raises(SnapshotError, match=f"{re.escape(str(path))}: disk full"):
         save_dataset(make_dataset([(0, 0)], [(0, 0)], 1, 1, 1), tmp_path)
     assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == [SNAPSHOT_NAME]
+    assert (tmp_path / "summary.json").read_bytes() == summary_before
+    assert {p.name for p in tmp_path.iterdir()} == {SNAPSHOT_NAME, "summary.json"}
 
 
 def test_saves_int32_csr_arrays(dataset, tmp_path):

@@ -32,7 +32,7 @@ print(
     f"{len(dataset.objects)} movies, {len(dataset.tags)} tags"
 )
 
-target = dataset.users.external_ids.index("1")
+target = dataset.users.index_of("1")
 scorer = Scorer(dataset, "diffusion")
 p_obj, p_tag = (p[0] for p in scorer.channel_scores([target]))
 

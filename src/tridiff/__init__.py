@@ -4,6 +4,7 @@ from .core import (
     BipartiteGraph,
     EntityIndexMap,
     GraphConstructionError,
+    IndexMapError,
     TripartiteDataset,
     build_graph,
 )
@@ -25,6 +26,7 @@ __all__ = [
     "EvaluationSplit",
     "ExperimentConfig",
     "GraphConstructionError",
+    "IndexMapError",
     "MetricsReport",
     "RawRecords",
     "Scorer",

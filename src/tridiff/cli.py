@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 from . import evaluation, ingest, similarity, snapshot
+from .core import IndexMapError
 from .evaluation import ExperimentConfig, MetricsReport
 from .recommend import Scorer
 
@@ -89,6 +90,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             _lines("tags", args.tags),
             rating_threshold=args.rating_threshold,
         )
+    except IndexMapError as exc:  # an id that a snapshot cannot hold
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -177,9 +181,9 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         return 2
     out = Path(args.out)
     dataset = snapshot.load_dataset(out)
-    try:  # one scan of the ids; a dict over them would cost more to build
-        v = dataset.users.external_ids.index(args.user)
-    except ValueError:
+    try:  # one vectorized scan of the id array, which the load kept as it was
+        v = dataset.users.index_of(args.user)
+    except KeyError:
         print(f"error: unknown user id {args.user!r}", file=sys.stderr)
         return 1
     scorer = Scorer(dataset, args.similarity)
@@ -189,8 +193,8 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     if not listing:
         print(f"warning: no positive-score objects for user {args.user}", file=sys.stderr)
         return 0
-    for obj_idx, score in listing:
-        print(f"{dataset.objects.external_ids[obj_idx]}\t{_float_fmt(score)}")
+    for obj_idx, score in listing:  # only the printed ids become Python strs
+        print(f"{dataset.objects.ids[obj_idx]}\t{_float_fmt(score)}")
     return 0
 
 

@@ -1,11 +1,13 @@
 """Core data model: entity index maps, bipartite adjacency, tripartite container.
 
-Graphs are immutable after construction. Adjacency is binary; duplicate
-input edges collapse to a single edge. A graph holds its canonical CSR
-arrays (indptr, indices) and is the one place that checks them. Neighbor
-lists (the CSR indices) are kept sorted, which fixes the order in which the
-similarity and scoring products sum their terms, and so their floats. The
-sparse-matrix library is imported only when a product first needs a matrix.
+An index map holds its ids as one numpy str array, the form a snapshot
+stores, and checks them once. Graphs are immutable after construction.
+Adjacency is binary; duplicate input edges collapse to a single edge. A
+graph holds its canonical CSR arrays (indptr, indices) and is the one place
+that checks them. Neighbor lists (the CSR indices) are kept sorted, which
+fixes the order in which the similarity and scoring products sum their
+terms, and so their floats. The sparse-matrix library is imported only when
+a product first needs a matrix.
 """
 
 from __future__ import annotations
@@ -22,21 +24,93 @@ class GraphConstructionError(ValueError):
     is outside the declared node ranges, or CSR arrays are not canonical."""
 
 
-@dataclass(frozen=True)
+class IndexMapError(ValueError):
+    """Raised when ids are not a 1-D str array, repeat an id, or hold an id
+    that ends in a NUL character."""
+
+
+# odd multiplier of the ids' polynomial fingerprints (2**64 / golden ratio)
+_FINGERPRINT_BASE = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _fingerprints(ids: np.ndarray) -> np.ndarray:
+    """A 64-bit polynomial hash of each id's UCS-4 code points, trailing
+    padding included, so equal ids hash alike. uint64 array arithmetic
+    wraps silently, which is the reduction mod 2**64."""
+    codes = np.ascontiguousarray(ids).view(np.uint32).reshape(len(ids), ids.itemsize // 4)
+    hashes = np.zeros(len(ids), dtype=np.uint64)
+    for column in codes.T:
+        hashes *= _FINGERPRINT_BASE
+        hashes += column
+    return hashes
+
+
+def _repeats_an_id(ids: np.ndarray) -> bool:
+    """Whether a str array holds an id twice: a repeat makes two sorted
+    fingerprints equal, and only then are the ids compared exactly."""
+    hashes = np.sort(_fingerprints(ids))
+    if not (hashes[1:] == hashes[:-1]).any():
+        return False
+    external_ids = ids.tolist()
+    return len(set(external_ids)) != len(external_ids)
+
+
 class EntityIndexMap:
-    """Bijection between external id strings and dense indices [0, count).
+    """Bijection between external id strings and dense indices [0, count),
+    held as one 1-D numpy str array: ids[i] is the id of index i.
 
-    external_ids must not repeat an id; from_ids drops repeats."""
+    Built from a str array or from Python strs. The array is as wide as its
+    longest id, the dtype np.array(ids, dtype=str) gives, so a subset of a
+    map is narrowed; otherwise it is kept as given (do not mutate it). Raises
+    IndexMapError unless the array is 1-D of str dtype, when an id repeats,
+    and when a Python str ends in a NUL character, which a numpy str array
+    drops ("u0\\0" would read back as "u0"). from_ids drops repeats."""
 
-    external_ids: tuple[str, ...]
+    def __init__(self, ids: np.ndarray | Iterable[str]):
+        if not isinstance(ids, np.ndarray):
+            strs = list(ids)
+            lengths = np.fromiter(map(len, strs), dtype=np.intp, count=len(strs))
+            ids = np.array(strs, dtype=np.dtype((str, int(lengths.max(initial=1)))))
+            if np.char.str_len(ids).sum() != lengths.sum():
+                bad = next(s for s in strs if s.endswith("\0"))
+                raise IndexMapError(
+                    f"id {bad!r} ends in a NUL character, which a str array cannot hold"
+                )
+        if ids.ndim != 1 or ids.dtype.kind != "U":
+            raise IndexMapError(f"ids must be a 1-D str array, got {ids.dtype} {ids.shape}")
+        width = int(np.char.str_len(ids).max(initial=1))
+        if ids.itemsize != 4 * width:
+            ids = ids.astype(np.dtype((str, width)))
+        if _repeats_an_id(ids):
+            raise IndexMapError("an id repeats")
+        self.ids = ids
 
     @classmethod
     def from_ids(cls, ids: Iterable[str]) -> "EntityIndexMap":
         """Build a map assigning dense indices in first-seen order."""
-        return cls(external_ids=tuple(dict.fromkeys(ids)))
+        return cls(dict.fromkeys(ids))
 
     def __len__(self) -> int:
-        return len(self.external_ids)
+        return len(self.ids)
+
+    def __eq__(self, other: object) -> bool:
+        # exact: no map holds an id ending in NUL, the one case numpy's == blurs
+        if not isinstance(other, EntityIndexMap):
+            return NotImplemented
+        return np.array_equal(self.ids, other.ids)
+
+    def index_of(self, external_id: str) -> int:
+        """The index of the id equal to external_id; raises KeyError if none is."""
+        hits = np.flatnonzero(self.ids == external_id)
+        # numpy's str comparison ignores trailing NULs; a Python str's does not
+        if len(hits) == 0 or self.ids[hits[0]] != external_id:
+            raise KeyError(external_id)
+        return int(hits[0])
+
+    @cached_property
+    def external_ids(self) -> tuple[str, ...]:
+        """The ids as a tuple of Python strs, built on first use."""
+        return tuple(self.ids.tolist())
 
 
 class BipartiteGraph:

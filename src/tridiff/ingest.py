@@ -93,7 +93,8 @@ def parse(
     present, must lie in [0.5, 5]; comma-delimited fields may not be quoted.
     Malformed lines, an empty user, object or tag field among them, are
     collected into ``records.errors`` with line numbers instead of raising.
-    Fields are trimmed and tags lowercased. A NaN threshold raises ValueError.
+    Fields are trimmed and tags lowercased. A NaN threshold raises ValueError,
+    and an id that ends in a NUL character IndexMapError.
     """
     if math.isnan(rating_threshold):
         raise ValueError("rating threshold must be a number, got nan")
@@ -147,9 +148,9 @@ def parse(
             out.append(index.setdefault(key, len(index)))
 
     return RawRecords(
-        users=EntityIndexMap(tuple(users)),
-        objects=EntityIndexMap(tuple(objects)),
-        tags=EntityIndexMap(tuple(tags)),
+        users=EntityIndexMap(users),
+        objects=EntityIndexMap(objects),
+        tags=EntityIndexMap(tags),
         object_events=np.array(object_codes, dtype=np.int64).reshape(-1, 2),
         tag_events=np.array(tag_codes, dtype=np.int64).reshape(-1, 2),
         errors=tuple(errors),
@@ -167,7 +168,7 @@ def _relabel(index: EntityIndexMap, codes: np.ndarray) -> tuple[EntityIndexMap, 
     order = codes[is_first[:-1]]
     new_index = np.zeros(len(index), dtype=np.int64)
     new_index[order] = np.arange(len(order))
-    return EntityIndexMap.from_ids([index.external_ids[i] for i in order.tolist()]), new_index
+    return EntityIndexMap(index.ids[order]), new_index
 
 
 def core_filter(records: RawRecords) -> TripartiteDataset:

@@ -2,9 +2,10 @@
 dataset (ingest once, sweep many): an uncompressed .npz archive of the user,
 object and tag ids (str arrays), a format version and, for each of the
 user-object and user-tag graphs, its canonical CSR arrays `<graph>_indptr`
-and `<graph>_indices` (int32 below 2**31 nodes and edges). Loading hands them
-as they are, without a sort, to BipartiteGraph, which checks that they are
-canonical. zipfile checks the CRC-32 of each member on read.
+and `<graph>_indices` (int32 below 2**31 nodes and edges). Saving writes the
+arrays the dataset holds, and loading hands them as they are, without a sort
+or a Python string per id, to EntityIndexMap and BipartiteGraph, which check
+them. zipfile checks the CRC-32 of each member on read.
 """
 
 from __future__ import annotations
@@ -18,7 +19,13 @@ from zipfile import BadZipFile
 
 import numpy as np
 
-from .core import BipartiteGraph, EntityIndexMap, GraphConstructionError, TripartiteDataset
+from .core import (
+    BipartiteGraph,
+    EntityIndexMap,
+    GraphConstructionError,
+    IndexMapError,
+    TripartiteDataset,
+)
 
 SNAPSHOT_NAME = "dataset.npz"
 SUMMARY_NAME = "summary.json"
@@ -59,20 +66,13 @@ def write_files(contents: dict[Path, bytes]) -> None:
             partial.unlink(missing_ok=True)
 
 
-def _id_array(index: EntityIndexMap) -> np.ndarray:
-    ids = np.array(index.external_ids, dtype=str)
-    if ids.tolist() != list(index.external_ids):  # a str array drops trailing NULs
-        raise SnapshotError("an id ends in a NUL character, which a snapshot cannot hold")
-    return ids
-
-
-def _index_map(name: str, ids: np.ndarray) -> EntityIndexMap:
-    if ids.ndim != 1 or ids.dtype.kind != "U":
-        raise ValueError(f"{name} must be a 1-D str array, got {ids.dtype} {ids.shape}")
-    external_ids = ids.tolist()
-    if len(set(external_ids)) != len(external_ids):
-        raise ValueError(f"{name} repeats an id")
-    return EntityIndexMap(tuple(external_ids))
+def _index_map(npz, name: str) -> EntityIndexMap:
+    """The index map of the ids npz holds under name; raises ValueError,
+    naming the member, unless EntityIndexMap accepts them."""
+    try:
+        return EntityIndexMap(npz[name])
+    except IndexMapError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
 
 
 def _graph(npz, name: str, right_count: int) -> BipartiteGraph:
@@ -89,9 +89,9 @@ def save_dataset(dataset: TripartiteDataset, directory: Path) -> Path:
     write_files); returns the snapshot's path."""
     arrays = {
         "format_version": np.array(FORMAT_VERSION),
-        "users": _id_array(dataset.users),
-        "objects": _id_array(dataset.objects),
-        "tags": _id_array(dataset.tags),
+        "users": dataset.users.ids,
+        "objects": dataset.objects.ids,
+        "tags": dataset.tags.ids,
     }
     for name in ("user_object", "user_tag"):
         graph = getattr(dataset, name)
@@ -124,7 +124,7 @@ def load_dataset(directory: Path) -> TripartiteDataset:
                     "run tridiff ingest again"
                 )
             users, objects, tags = (
-                _index_map(name, npz[name]) for name in ("users", "objects", "tags")
+                _index_map(npz, name) for name in ("users", "objects", "tags")
             )
             return TripartiteDataset(
                 users=users,

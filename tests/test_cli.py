@@ -123,6 +123,29 @@ class TestIngest:
         assert err[0].startswith(f"error: cannot read objects file {objects}:")
         assert not (out / SNAPSHOT_NAME).exists()
 
+    def test_id_ending_in_nul(self, tmp_path, capsys):
+        # user "1\0" survives the core filter; a str array would store it as "1"
+        objects = tmp_path / "o.tsv"
+        tags = tmp_path / "t.tsv"
+        # no header lines (a line 1 starting "1\0" would be one), so no note: lines
+        objects.write_text(
+            "2\t101\t3\n1\0\t101\t5\n1\0\t102\t4\n2\t103\t4\n3\t102\t5\n3\t103\t2\n",
+            encoding="utf-8",
+        )
+        tags.write_text(
+            "2\t101\tfunny\n1\0\t101\tfunny\n2\t103\tdark\n3\t103\tdark\n", encoding="utf-8"
+        )
+        out = tmp_path / "out"
+        rc = main(["ingest", "--objects", str(objects), "--tags", str(tags), "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "NUL" in err[0]
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not (out / SNAPSHOT_NAME).exists()
+
     def test_empty_after_filter(self, tmp_path):
         objects = tmp_path / "o.tsv"
         tags = tmp_path / "t.tsv"
@@ -448,6 +471,16 @@ class TestRecommend:
         rc = main(["recommend", "--out", str(snapshot_dir), "--user", "ghost"])
         assert rc != 0
         assert "ghost" in capsys.readouterr().err
+
+    def test_user_id_with_trailing_nul_is_unknown(self, snapshot_dir, capsys):
+        # user "1" exists; numpy's str comparison would also match "1\0"
+        assert main(["recommend", "--out", str(snapshot_dir), "--user", "1"]) == 0
+        capsys.readouterr()
+        rc = main(["recommend", "--out", str(snapshot_dir), "--user", "1\0"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unknown user id")
+        assert captured.out == ""
 
     def test_lambda_endpoints_differ(self, tmp_path, capsys):
         # F2-style data where the channels rank objects differently for u3:

@@ -1,15 +1,18 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from tridiff import core
 from tridiff.core import (
     BipartiteGraph,
     EntityIndexMap,
     GraphConstructionError,
+    IndexMapError,
     build_graph,
 )
 
@@ -31,6 +34,17 @@ def edge_lists(max_left=20, max_right=20):
     )
 
 
+# ids of mixed length and non-ASCII text, the empty string among them; a small
+# alphabet (interior NULs included) makes repeats common. A trailing NUL is
+# refused before the repeat check.
+ID_LISTS = st.lists(
+    st.one_of(st.text(max_size=8), st.text(alphabet="ab\0\u00e9\U0001f600", max_size=3)).filter(
+        lambda s: not s.endswith("\0")
+    ),
+    max_size=12,
+)
+
+
 class TestEntityIndexMap:
     def test_first_seen_order(self):
         idx = EntityIndexMap.from_ids(["b", "a", "b", "c", "a"])
@@ -42,6 +56,84 @@ class TestEntityIndexMap:
         for i, ext in enumerate(idx.external_ids):
             assert idx.external_ids.index(ext) == i
         assert sorted(idx.external_ids.index(e) for e in idx.external_ids) == list(range(len(idx)))
+
+    def test_index_of_is_exact(self):
+        # numpy's str == ignores trailing NULs: np.array([""]) == "\0" is True
+        present = ["b", "a", "a\0c", "", "\u00e9", "\U0001f600x"]
+        for idx in (EntityIndexMap(present), EntityIndexMap(np.array(present))):
+            assert [idx.index_of(e) for e in present] == list(range(len(present)))
+            for absent in ["c", "A", "a\0", "b\0", "\0", "\0\0", "a\0c\0", "\u00e9\0"]:
+                with pytest.raises(KeyError):
+                    idx.index_of(absent)
+        with pytest.raises(KeyError):
+            EntityIndexMap([]).index_of("")
+
+    @settings(max_examples=300, deadline=None)
+    @given(ID_LISTS)
+    @example([])
+    @example([""])
+    @example(["", ""])
+    @example(["a", "a\0b", "a"])
+    def test_repeat_check_is_exact(self, ids):
+        # once with the fingerprints and once with all of them equal, which
+        # sends every map to the exact check
+        repeats = len(set(ids)) != len(ids)
+        colliding = lambda array: np.zeros(len(array), dtype=np.uint64)
+        for fingerprints in (core._fingerprints, colliding):
+            with mock.patch.object(core, "_fingerprints", fingerprints):
+                for source in (ids, np.array(ids, dtype=str)):
+                    if repeats:
+                        with pytest.raises(IndexMapError, match="repeats"):
+                            EntityIndexMap(source)
+                    else:  # the ids, in the dtype np.array gives them (snapshot bytes)
+                        idx = EntityIndexMap(source)
+                        assert idx.external_ids == tuple(ids)
+                        assert idx.ids.dtype == np.array(ids, dtype=str).dtype
+
+    @pytest.mark.parametrize("ids", [["a", "b", "c"], ["a", "b", "a"]], ids=["distinct", "repeat"])
+    def test_fingerprint_collision_runs_exact_check(self, monkeypatch, ids):
+        calls = []
+
+        def colliding(array):
+            calls.append(len(array))
+            return np.zeros(len(array), dtype=np.uint64)
+
+        monkeypatch.setattr(core, "_fingerprints", colliding)
+        if len(set(ids)) != len(ids):
+            with pytest.raises(IndexMapError, match="repeats"):
+                EntityIndexMap(ids)
+        else:
+            assert EntityIndexMap(ids).external_ids == tuple(ids)
+        assert calls == [3]
+
+    def test_fingerprints_tell_these_ids_apart(self):
+        # widths 1 to 7, non-ASCII, interior NULs, the empty id, and ids that
+        # differ in their first or their last code point only
+        ids = np.array(
+            ["", "a", "b", "ab", "ba", "a\0b", "\u00e9", "\U0001f600", "1" * 7, "1" * 6 + "2",
+             "2" + "1" * 6]
+        )
+        assert len(set(core._fingerprints(ids).tolist())) == len(ids)
+
+    def test_id_ending_in_nul_is_refused(self):
+        for ids in (["u0\0"], ["u0", "u1\0"], ["\0"]):
+            with pytest.raises(IndexMapError, match="NUL"):
+                EntityIndexMap(ids)
+        assert EntityIndexMap(["u\0v"]).external_ids == ("u\0v",)
+
+    @pytest.mark.parametrize(
+        "ids", [np.array([["a", "b"]]), np.arange(2), np.array([b"a", b"b"])],
+        ids=["2d", "int", "bytes"],
+    )
+    def test_array_must_be_1d_str(self, ids):
+        with pytest.raises(IndexMapError, match="1-D str array"):
+            EntityIndexMap(ids)
+
+    def test_equality_compares_ids(self):
+        assert EntityIndexMap(["a", "bb"]) == EntityIndexMap(np.array(["a", "bb"], dtype="U5"))
+        assert EntityIndexMap(["a", "bb"]) != EntityIndexMap(["bb", "a"])
+        assert EntityIndexMap(["a"]) != EntityIndexMap(["a", "b"])
+        assert EntityIndexMap([]) == EntityIndexMap(np.array([], dtype=str))
 
 
 class TestBuildGraph:

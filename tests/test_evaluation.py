@@ -618,6 +618,26 @@ class TestSweepCsvPinned:
         }
         assert digests == self.REPORTS[runs, step]
 
+    # sha256 of the stdout of `recommend` for every user of the same fixture,
+    # for each kind and lambda in {0, 0.5, 1}, in that loop order
+    RECOMMEND = "70c0e1def6d24310943b3ef9dad956004d1a3b033c2e4f89563ccf9f2e8e8c75"
+
+    def test_recommend_stdout_bytes(self, tmp_path, capsys):
+        dataset = random_tripartite(
+            np.random.default_rng(11), m=60, n=80, r=30,
+            obj_density=0.1, tag_density=0.1,
+        )
+        save_dataset(dataset, tmp_path)
+        digest = hashlib.sha256()
+        for kind in ("diffusion", "cosine", "jaccard"):
+            for lam in ("0", "0.5", "1"):
+                for user in dataset.users.external_ids:
+                    rc = main(["recommend", "--out", str(tmp_path), "--user", user,
+                               "--similarity", kind, "--lambda", lam])
+                    assert rc == 0
+                    digest.update(capsys.readouterr().out.encode("utf-8"))
+        assert digest.hexdigest() == self.RECOMMEND
+
     def test_sweep_csv_bytes_from_worker_pool(self, tmp_path):
         with forced_pool() as pool:
             self.test_sweep_csv_bytes(tmp_path)

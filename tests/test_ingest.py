@@ -478,6 +478,19 @@ class TestCoreFilter:
         assert ds.users.external_ids == ("u2", "u1")
         assert ds.objects.external_ids == ("o2", "o1")
 
+    def test_id_arrays_as_wide_as_their_ids(self):
+        # the longer ids fall, so the kept maps are narrower than the parsed
+        # ones, and hold the dtype np.array gives their ids (snapshot bytes)
+        recs = records(
+            [("u1", "o1"), ("u2", "o1"), ("user-long", "o1"), ("u1", "object-long")],
+            [("u1", "t1"), ("u2", "t1"), ("u2", "tag-long")],
+        )
+        ds = core_filter(recs)
+        for name in ("users", "objects", "tags"):
+            kept, parsed = getattr(ds, name), getattr(recs, name)
+            assert kept.ids.dtype == np.array(kept.external_ids, dtype=str).dtype
+            assert kept.ids.dtype.itemsize < parsed.ids.dtype.itemsize
+
     def test_user_order_counts_dropped_objects(self):
         # u2's first object event is of o9, which falls; u2 still precedes u1
         recs = records(

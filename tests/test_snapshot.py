@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tridiff.core import EntityIndexMap, TripartiteDataset, build_graph
+from tridiff.core import EntityIndexMap, IndexMapError, TripartiteDataset, build_graph
 from tridiff.evaluation import UndefinedMetricError, evaluate_split
 from tridiff.ingest import split
 from tridiff.snapshot import SNAPSHOT_NAME, SnapshotError, load_dataset, save_dataset
@@ -195,17 +195,17 @@ def test_flipped_bit_fails_or_loads_the_same(data):
 
 
 def test_id_ending_in_nul_is_refused_on_save(tmp_path):
-    # a numpy str array drops trailing NULs, so "u0\0" would load as "u0"
+    # a numpy str array drops trailing NULs, so "u0\0" would load as "u0";
+    # the map refuses it, so no dataset holding it reaches save_dataset
     dataset = make_dataset([(0, 0)], [(0, 0)], 1, 1, 1)
-    dataset = TripartiteDataset(
-        users=EntityIndexMap.from_ids(["u0\0"]),
-        objects=dataset.objects,
-        tags=dataset.tags,
-        user_object=dataset.user_object,
-        user_tag=dataset.user_tag,
-    )
-    with pytest.raises(SnapshotError, match="NUL"):
-        save_dataset(dataset, tmp_path)
+    with pytest.raises(IndexMapError, match="NUL"):
+        TripartiteDataset(
+            users=EntityIndexMap.from_ids(["u0\0"]),
+            objects=dataset.objects,
+            tags=dataset.tags,
+            user_object=dataset.user_object,
+            user_tag=dataset.user_tag,
+        )
     assert list(tmp_path.iterdir()) == []
 
 

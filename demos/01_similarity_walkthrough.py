@@ -46,9 +46,9 @@ print("  jaccard toward u1:", nonzero(similarity_matrix(g, [0], "jaccard")[0]))
 # users into movie scores, and the Scorer fuses the two score vectors. It
 # scores a block of users at once; here the block is u3 alone.
 dataset = TripartiteDataset(
-    users=EntityIndexMap.from_ids(["u1", "u2", "u3"]),
-    objects=EntityIndexMap.from_ids(["o1", "o2"]),
-    tags=EntityIndexMap.from_ids(["t1", "t2"]),
+    users=EntityIndexMap(["u1", "u2", "u3"]),
+    objects=EntityIndexMap(["o1", "o2"]),
+    tags=EntityIndexMap(["t1", "t2"]),
     user_object=g,
     user_tag=build_graph([(0, 0), (1, 0), (2, 1)], left_count=3, right_count=2),
 )
@@ -56,6 +56,7 @@ scorer = Scorer(dataset, "diffusion")
 p_obj, p_tag = (p[0] for p in scorer.channel_scores([2]))
 print("\nfusing object and tag channels for u3, who collected only o2:")
 print("(nobody else used u3's tag, so the tag channel alone scores nothing)")
+movies = dataset.objects.ids.tolist()
 for lam in (0.0, 0.5, 1.0):
     listing = scorer.top_l(scorer.combine(p_obj, p_tag, lam), 2, L=2)
-    print(f"  lambda={lam}: {[(dataset.objects.external_ids[o], s) for o, s in listing]}")
+    print(f"  lambda={lam}: {[(movies[o], s) for o, s in listing]}")

@@ -35,9 +35,9 @@ for u in range(m):
         ut[u, rng.integers(0, r)] = True
 
 dataset = TripartiteDataset(
-    users=EntityIndexMap.from_ids(f"u{i}" for i in range(m)),
-    objects=EntityIndexMap.from_ids(f"o{i}" for i in range(n)),
-    tags=EntityIndexMap.from_ids(f"t{i}" for i in range(r)),
+    users=EntityIndexMap([f"u{i}" for i in range(m)]),
+    objects=EntityIndexMap([f"o{i}" for i in range(n)]),
+    tags=EntityIndexMap([f"t{i}" for i in range(r)]),
     user_object=build_graph(list(zip(*(a.tolist() for a in np.nonzero(uo)))), m, n),
     user_tag=build_graph(list(zip(*(a.tolist() for a in np.nonzero(ut)))), m, r),
 )

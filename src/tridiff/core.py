@@ -51,8 +51,8 @@ def _repeats_an_id(ids: np.ndarray) -> bool:
     hashes = np.sort(_fingerprints(ids))
     if not (hashes[1:] == hashes[:-1]).any():
         return False
-    external_ids = ids.tolist()
-    return len(set(external_ids)) != len(external_ids)
+    strs = ids.tolist()
+    return len(set(strs)) != len(strs)
 
 
 class EntityIndexMap:
@@ -64,7 +64,7 @@ class EntityIndexMap:
     map is narrowed; otherwise it is kept as given (do not mutate it). Raises
     IndexMapError unless the array is 1-D of str dtype, when an id repeats,
     and when a Python str ends in a NUL character, which a numpy str array
-    drops ("u0\\0" would read back as "u0"). from_ids drops repeats."""
+    drops ("u0\\0" would read back as "u0")."""
 
     def __init__(self, ids: np.ndarray | Iterable[str]):
         if not isinstance(ids, np.ndarray):
@@ -85,11 +85,6 @@ class EntityIndexMap:
             raise IndexMapError("an id repeats")
         self.ids = ids
 
-    @classmethod
-    def from_ids(cls, ids: Iterable[str]) -> "EntityIndexMap":
-        """Build a map assigning dense indices in first-seen order."""
-        return cls(dict.fromkeys(ids))
-
     def __len__(self) -> int:
         return len(self.ids)
 
@@ -106,11 +101,6 @@ class EntityIndexMap:
         if len(hits) == 0 or self.ids[hits[0]] != external_id:
             raise KeyError(external_id)
         return int(hits[0])
-
-    @cached_property
-    def external_ids(self) -> tuple[str, ...]:
-        """The ids as a tuple of Python strs, built on first use."""
-        return tuple(self.ids.tolist())
 
 
 class BipartiteGraph:
@@ -171,6 +161,16 @@ class BipartiteGraph:
         if not 0 <= u < self.left_count:
             raise IndexError(f"left index {u} out of range [0, {self.left_count})")
         return self.indices[self.indptr[u] : self.indptr[u + 1]]
+
+    def block_edges(self, lefts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The edges of a block of left nodes as (row, right) arrays: row i
+        indexes lefts, and left_neighbors(lefts[i]) follow each other in the
+        order of lefts. The pair indexes a (len(lefts), right_count) array."""
+        lefts = np.asarray(lefts, dtype=np.intp)
+        degrees = self.left_degrees[lefts]
+        rows = np.repeat(np.arange(len(lefts)), degrees)
+        first = self.indptr[lefts] - (np.cumsum(degrees) - degrees)
+        return rows, self.indices[np.arange(len(rows)) + np.repeat(first, degrees)]
 
     def edge_array(self) -> np.ndarray:
         """All edges as an (E, 2) array of (left, right) rows, sorted

@@ -125,55 +125,56 @@ class Scorer:
         top-grid.list_lengths[j] list of that score holds. A tie is == on
         combine's output; within a tie block top_l lists lower indices first.
 
-        A crossing grid is counted from crossing points for the whole block
-        (_crossing_stats), which overwrites each row's collected objects in
+        Both are computed here from each pair's counts at every lambda. A
+        crossing grid is counted from crossing points for the whole block
+        (_crossing_counts), which overwrites each row's collected objects in
         p_obj and p_tag with -inf; a shorter grid compares fused scores at
-        every lambda, one user at a time (_direct_stats).
+        every lambda, one user at a time (_direct_counts).
         """
         users = np.asarray(users, dtype=np.intp)
-        if grid.crossing:
-            return self._crossing_stats(p_obj, p_tag, users, test_objects, grid)
-        ranks, hits = zip(*(
-            self._direct_stats(p_obj[i], p_tag[i], v, test_objects[i], grid)
-            for i, v in enumerate(users.tolist())
-        ))
-        return np.concatenate(ranks), np.stack(hits)
+        counts = self._crossing_counts if grid.crossing else self._direct_counts
+        (greater, equal, before), fa = counts(p_obj, p_tag, users, test_objects, grid)
+        sizes = [len(a) for a in test_objects]
+        degrees = np.repeat(self.dataset.user_object.left_degrees[users], sizes)
+        n_uncollected = self.n_objects - degrees[:, None]
+        lengths = np.asarray(grid.list_lengths)
+        listed = _listed(fa[..., None], greater[..., None], before[..., None], lengths)
+        hits = np.add.reduceat(listed, np.cumsum([0, *sizes[:-1]]), axis=0, dtype=np.int64)
+        return _midrank(greater, equal, n_uncollected), hits
 
-    def _direct_stats(
-        self, p_obj: np.ndarray, p_tag: np.ndarray, v: int, alphas: Sequence[int], grid: LambdaGrid
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """block_stats of one user by comparing fused scores, one lambda at a time."""
-        alphas = np.asarray(alphas, dtype=np.intp)
-        collected = self.dataset.user_object.left_neighbors(v)
-        n_uncollected = self.n_objects - len(collected)
-        lengths = grid.list_lengths
-        ranks, hits = [], []
-        for lam in grid.lams.tolist():
-            masked = self.combine(p_obj, p_tag, lam)
-            masked[collected] = -np.inf
-            lam_ranks, lam_hits = [], [0] * len(lengths)
-            for alpha, pa in zip(alphas.tolist(), masked[alphas].tolist()):
-                greater = _count(masked > pa)
-                equal = _count(masked == pa)
-                before = _count(masked[:alpha] == pa)
-                lam_ranks.append(_midrank(greater, equal, n_uncollected))
-                for j, L in enumerate(lengths):
-                    lam_hits[j] += _listed(pa, greater, before, L)
-            ranks.append(lam_ranks)
-            hits.append(lam_hits)
-        return (
-            np.array(ranks).T.reshape(len(alphas), len(grid.lams)),
-            np.array(hits, dtype=np.int64).reshape(len(grid.lams), len(lengths)),
-        )
-
-    def _crossing_stats(
+    def _direct_counts(
         self, p_obj: np.ndarray, p_tag: np.ndarray, users: np.ndarray,
         test_objects: Sequence[Sequence[int]], grid: LambdaGrid,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """block_stats on a crossing grid. Each test pair's counts at every
-        point: the uncollected objects whose fused score is above, equal to,
-        and equal to with a lower index than the test object's, from one
-        pass over the user's row per pair and one crossing stage for the block.
+        """_crossing_counts' result by comparing fused scores, one user and
+        one lambda at a time."""
+        counts, scores = [], []
+        for i, v in enumerate(users.tolist()):
+            collected = self.dataset.user_object.left_neighbors(v)
+            alphas = np.asarray(test_objects[i], dtype=np.intp)
+            user_counts, user_scores = [], []
+            for lam in grid.lams.tolist():
+                masked = self.combine(p_obj[i], p_tag[i], lam)
+                masked[collected] = -np.inf
+                user_scores.append(masked[alphas])
+                user_counts.append([
+                    (_count(masked > pa), _count(masked == pa), _count(masked[:alpha] == pa))
+                    for alpha, pa in zip(alphas.tolist(), user_scores[-1].tolist())
+                ])
+            # (lambda, pair, count) -> (count, pair, lambda)
+            counts.append(np.array(user_counts, dtype=np.int64).reshape(-1, len(alphas), 3).T)
+            scores.append(np.array(user_scores).reshape(-1, len(alphas)).T)
+        return np.concatenate(counts, axis=1), np.concatenate(scores)
+
+    def _crossing_counts(
+        self, p_obj: np.ndarray, p_tag: np.ndarray, users: np.ndarray,
+        test_objects: Sequence[Sequence[int]], grid: LambdaGrid,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Counts of each test pair q at every lambda g of a crossing grid:
+        counts[:, q, g] holds how many uncollected objects have a fused
+        score above, equal to, and equal to with a lower index than the
+        test object's, which is fa[q, g]. One pass over the user's row per
+        pair and one crossing stage for the block.
 
         For a test object alpha and a competitor beta let d0 = t_beta - t_alpha
         and d1 = o_beta - o_alpha (t: tag channel, o: object channel). The
@@ -189,11 +190,9 @@ class Scorer:
         """
         points, end = grid.points, len(grid.points) - 1
         reach = (2.0 * _crossing_margin(p_obj, p_tag, grid.spacing)).tolist()
-        for i, v in enumerate(users.tolist()):
-            collected = self.dataset.user_object.left_neighbors(v)
-            p_obj[i, collected] = p_tag[i, collected] = -np.inf
-        sizes = [len(a) for a in test_objects]
-        rows = np.repeat(np.arange(len(users)), sizes)
+        collected = self.dataset.user_object.block_edges(users)
+        p_obj[collected] = p_tag[collected] = -np.inf
+        rows = np.repeat(np.arange(len(users)), [len(a) for a in test_objects])
         alphas = np.concatenate(test_objects).astype(np.intp)
         n = self.n_objects
         stats, cross, near = [], [], []
@@ -258,14 +257,7 @@ class Scorer:
             keys = (q * width)[:, None] + np.arange(width)
             _tally(flat, keys.ravel(), f.ravel(), fa, np.repeat(b < alphas[q], width))
 
-        greater, equal, before = counts[:, :, grid.at]
-        fa = fa[:, grid.at]
-        n_uncollected = n - self.dataset.user_object.left_degrees[users][rows, None]
-        lengths = np.asarray(grid.list_lengths)
-        listed = _listed(fa[..., None], greater[..., None], before[..., None], lengths)
-        first = np.cumsum([0, *sizes[:-1]])
-        hits = np.add.reduceat(listed, first, axis=0, dtype=np.int64)
-        return _midrank(greater, equal, n_uncollected), hits
+        return counts[:, :, grid.at], fa[:, grid.at]
 
 
 def _count(mask: np.ndarray) -> int:
@@ -289,7 +281,7 @@ def _listed(score, greater, before, L):
 def _crossing_margin(p_obj: np.ndarray, p_tag: np.ndarray, spacing: float) -> np.ndarray:
     """Bound, for each row of p_obj and p_tag, on |d0| + |d1| under which
     rounding may decide a comparison of fused scores at an interior point of
-    a grid whose smallest gap is spacing (see Scorer._crossing_stats).
+    a grid whose smallest gap is spacing (see Scorer._crossing_counts).
 
     Let u = 2**-53, M = max|p_obj| + max|p_tag|, and s the smallest gap of
     grid = [0, interior points, 1]: the least of the smallest interior lam,

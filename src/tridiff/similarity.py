@@ -45,10 +45,7 @@ def similarity_matrix(graph: BipartiteGraph, users: Sequence[int], kind: str) ->
         raise ValueError(f"unknown similarity kind: {kind!r}")
     users = np.asarray(users, dtype=np.intp)
     k_v = graph.left_degrees[users]
-    # the targets' edges, target by target: their CSR positions and right nodes
-    owner = np.repeat(np.arange(len(users)), k_v)
-    first = graph.indptr[users] - (np.cumsum(k_v) - k_v)
-    right = graph.indices[np.arange(len(owner)) + np.repeat(first, k_v)]
+    owner, right = graph.block_edges(users)
     x = np.zeros((graph.right_count, len(users)))
     if kind == DIFFUSION:
         x[right, owner] = 1.0 / (k_v.astype(np.int64)[owner] * graph.right_degrees[right])

@@ -21,9 +21,9 @@ def f1_graph() -> BipartiteGraph:
 
 def make_dataset(uo_edges, ut_edges, m, n, r) -> TripartiteDataset:
     return TripartiteDataset(
-        users=EntityIndexMap.from_ids(f"u{i}" for i in range(m)),
-        objects=EntityIndexMap.from_ids(f"o{i}" for i in range(n)),
-        tags=EntityIndexMap.from_ids(f"t{i}" for i in range(r)),
+        users=EntityIndexMap([f"u{i}" for i in range(m)]),
+        objects=EntityIndexMap([f"o{i}" for i in range(n)]),
+        tags=EntityIndexMap([f"t{i}" for i in range(r)]),
         user_object=build_graph(uo_edges, m, n),
         user_tag=build_graph(ut_edges, m, r),
     )

@@ -46,16 +46,11 @@ ID_LISTS = st.lists(
 
 
 class TestEntityIndexMap:
-    def test_first_seen_order(self):
-        idx = EntityIndexMap.from_ids(["b", "a", "b", "c", "a"])
-        assert idx.external_ids == ("b", "a", "c")
-        assert [idx.external_ids.index(e) for e in idx.external_ids] == [0, 1, 2]
-
     def test_bijection(self):
-        idx = EntityIndexMap.from_ids(str(i % 7) for i in range(30))
-        for i, ext in enumerate(idx.external_ids):
-            assert idx.external_ids.index(ext) == i
-        assert sorted(idx.external_ids.index(e) for e in idx.external_ids) == list(range(len(idx)))
+        idx = EntityIndexMap([str(i) for i in range(7)])
+        for i, ext in enumerate(idx.ids.tolist()):
+            assert idx.index_of(ext) == i
+        assert sorted(idx.index_of(e) for e in idx.ids.tolist()) == list(range(len(idx)))
 
     def test_index_of_is_exact(self):
         # numpy's str == ignores trailing NULs: np.array([""]) == "\0" is True
@@ -87,7 +82,7 @@ class TestEntityIndexMap:
                             EntityIndexMap(source)
                     else:  # the ids, in the dtype np.array gives them (snapshot bytes)
                         idx = EntityIndexMap(source)
-                        assert idx.external_ids == tuple(ids)
+                        assert idx.ids.tolist() == list(ids)
                         assert idx.ids.dtype == np.array(ids, dtype=str).dtype
 
     @pytest.mark.parametrize("ids", [["a", "b", "c"], ["a", "b", "a"]], ids=["distinct", "repeat"])
@@ -103,7 +98,7 @@ class TestEntityIndexMap:
             with pytest.raises(IndexMapError, match="repeats"):
                 EntityIndexMap(ids)
         else:
-            assert EntityIndexMap(ids).external_ids == tuple(ids)
+            assert EntityIndexMap(ids).ids.tolist() == ids
         assert calls == [3]
 
     def test_fingerprints_tell_these_ids_apart(self):
@@ -119,7 +114,7 @@ class TestEntityIndexMap:
         for ids in (["u0\0"], ["u0", "u1\0"], ["\0"]):
             with pytest.raises(IndexMapError, match="NUL"):
                 EntityIndexMap(ids)
-        assert EntityIndexMap(["u\0v"]).external_ids == ("u\0v",)
+        assert EntityIndexMap(["u\0v"]).ids.tolist() == ["u\0v"]
 
     @pytest.mark.parametrize(
         "ids", [np.array([["a", "b"]]), np.arange(2), np.array([b"a", b"b"])],
@@ -289,6 +284,21 @@ class TestGraphInvariants:
             neigh = g.left_neighbors(u)
             assert np.all(np.diff(neigh) > 0)
 
+    @settings(max_examples=150, deadline=None)
+    @given(edge_lists().flatmap(
+        lambda spec: st.tuples(st.just(spec), st.lists(st.integers(0, spec[0] - 1), max_size=12))
+    ))
+    # user 1 has no edge; users repeat, out of order; the empty block
+    @example(((3, 2, [(0, 0), (0, 1), (2, 1)]), [1, 2, 1, 0, 2, 1]))
+    @example(((3, 2, [(0, 0), (0, 1), (2, 1)]), []))
+    def test_block_edges_concatenate_neighbors(self, case):
+        (m, n, edges), lefts = case
+        g = build_graph(edges, m, n)
+        rows, right = g.block_edges(lefts)
+        neighbors = [g.left_neighbors(u).tolist() for u in lefts]
+        assert rows.tolist() == [i for i, neigh in enumerate(neighbors) for _ in neigh]
+        assert right.tolist() == [x for neigh in neighbors for x in neigh]
+
 
 class TestTripartiteDataset:
     def test_degree_accessors(self, f1_dataset):
@@ -315,9 +325,9 @@ class TestTripartiteDataset:
     def test_mismatched_user_counts_rejected(self):
         with pytest.raises(ValueError):
             make_dataset([(0, 0)], [(0, 0)], 1, 1, 1).__class__(
-                users=EntityIndexMap.from_ids(["u0", "u1"]),
-                objects=EntityIndexMap.from_ids(["o0"]),
-                tags=EntityIndexMap.from_ids(["t0"]),
+                users=EntityIndexMap(["u0", "u1"]),
+                objects=EntityIndexMap(["o0"]),
+                tags=EntityIndexMap(["t0"]),
                 user_object=build_graph([(0, 0)], 1, 1),
                 user_tag=build_graph([(0, 0)], 2, 1),
             )

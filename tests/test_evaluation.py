@@ -574,9 +574,11 @@ class TestSweepCsvPinned:
 
     # sha256 of every report file of a sweep of the same fixture, at 2 runs
     # of the 51-point grid and at 9 runs of an 11-point one: a mean or an
-    # optimum that moved in its last bits shows here
+    # optimum that moved in its last bits shows here. The last two grids, at
+    # 2 runs, are short enough to compare fused scores at every lambda: one
+    # lambda, and 5 points of which 3 lie inside (0, 1)
     REPORTS = {
-        ("2", "0.02"): {
+        ("2", "--lambda-step", "0.02"): {
             "sweep_diffusion.csv": "b979427d64819706cf4d888256f09b64c738a5956d34cbf805b60a717d37cf45",
             "sweep_cosine.csv": "bf1094cee0a9347ac6e8c71c99ff7dedc27536843a8ee4e25341d54eb83f2fc3",
             "sweep_jaccard.csv": "f05d1f03ab1042a33c98e8b769a4cf0ece8f8030935729053c2386ae0df6a74b",
@@ -587,7 +589,7 @@ class TestSweepCsvPinned:
             "optima_cosine.csv": "7ac650b3784c021dbc1675d78a4636de604110cdf3e9f539ea91c09a1d348471",
             "optima_jaccard.csv": "c17007ddf35c0050834fac249391160ede2e62897daf2f6ea70b4ea28374214f",
         },
-        ("9", "0.1"): {
+        ("9", "--lambda-step", "0.1"): {
             "sweep_diffusion.csv": "1de53bdaefb54a8342a00d1fe6d1b3cbf44b79c870663b83add848046984ee94",
             "sweep_cosine.csv": "0b9d69c0c5ee7251d7d05554951721bd6570e660a0a7371335c7d2c5be52718a",
             "sweep_jaccard.csv": "a7f2f6b0fce750aaecf686b8b2fe23197c47f74cd6a5fee4f42c5c2df179dcf4",
@@ -598,10 +600,35 @@ class TestSweepCsvPinned:
             "optima_cosine.csv": "e1f2f8a1ca2bf144000cddc8b30137ffc3640d832737ebc2deef3b6aa16fa6b2",
             "optima_jaccard.csv": "e1007e13c552a4d838e0a27959db7a7f77004f1e2dc2cd9ff3a48508b07fd01c",
         },
+        ("2", "--lambda", "0.5"): {
+            "sweep_diffusion.csv": "1db73e68b86546106d02e7da4caac6a995f21db0d031f0a00147da866a50e158",
+            "sweep_cosine.csv": "640a2b9ec285f2f564dc8e167fc8045318ac1813161ec1c204bb23c13846e690",
+            "sweep_jaccard.csv": "c590fc790cbbf0c1eb8a7be05a51e7a18fd5346e727c529f3243f47f09acf7d6",
+            "summary_diffusion.csv": "1266fd8b2f55c6637087b385d85e3000d44c5df7944f17535147d61a3486a072",
+            "summary_cosine.csv": "fa5bdfd546daae29b36d9818b190a5636f4099462290100d4f5be3bff22cb4cc",
+            "summary_jaccard.csv": "1eb7340f6833e14b635da2b69551633295ec5113905d46920733c47a961a341f",
+            "optima_diffusion.csv": "c6d79492f8149bf1eb0840d9c7ef807af74a9907b4445a00e229fc81da158c3d",
+            "optima_cosine.csv": "8110d3b2bca421790c042eb906ca96999c3640ae6726dddfde0c07d2af6364d1",
+            "optima_jaccard.csv": "bed81fe749fc485bbac4665dfd7bd40bb62625ed470d76d4718daacf52f2a44b",
+        },
+        ("2", "--lambda-step", "0.25"): {
+            "sweep_diffusion.csv": "8f5548f504cde1024b5584f9173352229e77f9b41ba9fac95eca2b9c6755bdd8",
+            "sweep_cosine.csv": "6fdb5aeb2a47017d8d57544fb75eac90ba00504fd399c6eed6463697d0e0828f",
+            "sweep_jaccard.csv": "81652b2877593dc37f8f03f8782b5c2d8a2929a0a282f4b05d26af3fc5cea751",
+            "summary_diffusion.csv": "3dc437fcb884eb81a45f328a514fb81d58bedf132b0576b628b3375993257d8b",
+            "summary_cosine.csv": "1d7e4085b1a2be72cebd2521e94aefe246a298b22ae264093f53c1ec559d3d57",
+            "summary_jaccard.csv": "11778c76bab39cab9f33713d05ebf3c91ed7572e20156936ec7a4bb4a1e09f4a",
+            "optima_diffusion.csv": "5ab4c0a4d1dd4fa24baa28b701aea52841be507aa92b0a3a472e8a9a049884fb",
+            "optima_cosine.csv": "7ac650b3784c021dbc1675d78a4636de604110cdf3e9f539ea91c09a1d348471",
+            "optima_jaccard.csv": "d0c63365519794e25512890e9df8a4d95bb9732e63e95600bdd424cfad7ecdc1",
+        },
     }
 
-    @pytest.mark.parametrize("runs, step", list(REPORTS), ids=["2-runs", "9-runs"])
-    def test_report_bytes(self, tmp_path, runs, step):
+    @pytest.mark.parametrize(
+        "case", list(REPORTS), ids=["2-runs", "9-runs", "direct-1-lambda", "direct-3-interior"]
+    )
+    def test_report_bytes(self, tmp_path, case):
+        runs, *grid = case
         dataset = random_tripartite(
             np.random.default_rng(11), m=60, n=80, r=30,
             obj_density=0.1, tag_density=0.1,
@@ -609,14 +636,14 @@ class TestSweepCsvPinned:
         save_dataset(dataset, tmp_path)
         rc = main(
             ["sweep", "--out", str(tmp_path), "--similarity", "diffusion,cosine,jaccard",
-             "--runs", runs, "--seed", "4", "--L", "5,10", "--lambda-step", step]
+             "--runs", runs, "--seed", "4", "--L", "5,10", *grid]
         )
         assert rc == 0
         digests = {
             name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-            for name in self.REPORTS[runs, step]
+            for name in self.REPORTS[case]
         }
-        assert digests == self.REPORTS[runs, step]
+        assert digests == self.REPORTS[case]
 
     # sha256 of the stdout of `recommend` for every user of the same fixture,
     # for each kind and lambda in {0, 0.5, 1}, in that loop order
@@ -631,7 +658,7 @@ class TestSweepCsvPinned:
         digest = hashlib.sha256()
         for kind in ("diffusion", "cosine", "jaccard"):
             for lam in ("0", "0.5", "1"):
-                for user in dataset.users.external_ids:
+                for user in dataset.users.ids.tolist():
                     rc = main(["recommend", "--out", str(tmp_path), "--user", user,
                                "--similarity", kind, "--lambda", lam])
                     assert rc == 0

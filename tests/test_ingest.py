@@ -55,10 +55,10 @@ def reference_core(uo, ut):
 
 def external_pairs(dataset):
     """The dataset's two edge lists in external ids, in index order."""
-    users = dataset.users.external_ids
+    users, objects, tags = (m.ids.tolist() for m in (dataset.users, dataset.objects, dataset.tags))
     return (
-        [(users[u], dataset.objects.external_ids[o]) for u, o in edge_list(dataset.user_object)],
-        [(users[u], dataset.tags.external_ids[t]) for u, t in edge_list(dataset.user_tag)],
+        [(users[u], objects[o]) for u, o in edge_list(dataset.user_object)],
+        [(users[u], tags[t]) for u, t in edge_list(dataset.user_tag)],
     )
 
 
@@ -77,10 +77,10 @@ def pair_set(edges: np.ndarray) -> set:
 
 def decoded(recs: RawRecords):
     """The parsed (user, object) and (user, tag) events in external ids."""
-    users = recs.users.external_ids
+    users, objects, tags = (m.ids.tolist() for m in (recs.users, recs.objects, recs.tags))
     return (
-        [(users[u], recs.objects.external_ids[o]) for u, o in recs.object_events.tolist()],
-        [(users[u], recs.tags.external_ids[t]) for u, t in recs.tag_events.tolist()],
+        [(users[u], objects[o]) for u, o in recs.object_events.tolist()],
+        [(users[u], tags[t]) for u, t in recs.tag_events.tolist()],
     )
 
 
@@ -285,7 +285,7 @@ class TestParse:
         assert len(kept.object_events) == 1
         dropped = parse(["7\t42\t4"], [], rating_threshold=5)
         assert len(dropped.object_events) == 0
-        assert dropped.users.external_ids == dropped.objects.external_ids == ()
+        assert dropped.users.ids.tolist() == dropped.objects.ids.tolist() == []
 
     def test_tag_normalization(self):
         recs = parse([], ["7\t42\tSci-Fi \n"])
@@ -347,7 +347,7 @@ class TestParse:
         assert ("objects", 2) in reasons
         assert ("tags", 1) in reasons
         # a refused line indexes no id
-        assert recs.users.external_ids == ("9",)
+        assert recs.users.ids.tolist() == ["9"]
 
     def test_delimiter_from_first_line_that_holds_one(self):
         # a lone "5" holds no delimiter, so it decides nothing and is refused
@@ -424,9 +424,9 @@ class TestParse:
         recs = parse(object_lines, tag_lines, rating_threshold=threshold)
         uo, ut, refused = reference_parse(object_rows, tag_rows, threshold)
         assert decoded(recs) == (uo, ut)
-        assert recs.users.external_ids == first_seen(u for u, _ in uo + ut)
-        assert recs.objects.external_ids == first_seen(o for _, o in uo)
-        assert recs.tags.external_ids == first_seen(t for _, t in ut)
+        assert tuple(recs.users.ids.tolist()) == first_seen(u for u, _ in uo + ut)
+        assert tuple(recs.objects.ids.tolist()) == first_seen(o for _, o in uo)
+        assert tuple(recs.tags.ids.tolist()) == first_seen(t for _, t in ut)
         assert len(recs.errors) == refused
         assert recs.headers == {"objects": object_lines[0], "tags": tag_lines[0]}
 
@@ -466,8 +466,8 @@ class TestCoreFilter:
             [("u1", "t1"), ("u2", "t1")],
         )
         ds = core_filter(recs)
-        assert ds.users.external_ids == ("u1", "u2")
-        assert ds.objects.external_ids == ("o1",)
+        assert ds.users.ids.tolist() == ["u1", "u2"]
+        assert ds.objects.ids.tolist() == ["o1"]
 
     def test_first_seen_order(self):
         recs = records(
@@ -475,8 +475,8 @@ class TestCoreFilter:
             [("u2", "t1"), ("u1", "t1")],
         )
         ds = core_filter(recs)
-        assert ds.users.external_ids == ("u2", "u1")
-        assert ds.objects.external_ids == ("o2", "o1")
+        assert ds.users.ids.tolist() == ["u2", "u1"]
+        assert ds.objects.ids.tolist() == ["o2", "o1"]
 
     def test_id_arrays_as_wide_as_their_ids(self):
         # the longer ids fall, so the kept maps are narrower than the parsed
@@ -488,7 +488,7 @@ class TestCoreFilter:
         ds = core_filter(recs)
         for name in ("users", "objects", "tags"):
             kept, parsed = getattr(ds, name), getattr(recs, name)
-            assert kept.ids.dtype == np.array(kept.external_ids, dtype=str).dtype
+            assert kept.ids.dtype == np.array(kept.ids.tolist(), dtype=str).dtype
             assert kept.ids.dtype.itemsize < parsed.ids.dtype.itemsize
 
     def test_user_order_counts_dropped_objects(self):
@@ -498,8 +498,8 @@ class TestCoreFilter:
             [("u1", "t1"), ("u2", "t1")],
         )
         ds = core_filter(recs)
-        assert ds.users.external_ids == ("u2", "u1")
-        assert ds.objects.external_ids == ("o1",)
+        assert ds.users.ids.tolist() == ["u2", "u1"]
+        assert ds.objects.ids.tolist() == ["o1"]
 
     @settings(max_examples=150, deadline=None)
     @given(event_lists)
@@ -508,9 +508,9 @@ class TestCoreFilter:
         ut = [(f"u{u}", f"t{t}") for u, t in events[1]]
         users, objects, tags, ref_uo, ref_ut = reference_core(uo, ut)
         ds = core_filter(records_of(*events))
-        assert ds.users.external_ids == users
-        assert ds.objects.external_ids == objects
-        assert ds.tags.external_ids == tags
+        assert tuple(ds.users.ids.tolist()) == users
+        assert tuple(ds.objects.ids.tolist()) == objects
+        assert tuple(ds.tags.ids.tolist()) == tags
         assert external_edges(ds) == (ref_uo, ref_ut)
 
     @settings(max_examples=100, deadline=None)
@@ -523,7 +523,7 @@ class TestCoreFilter:
         for a, b in (
             (again.users, ds.users), (again.objects, ds.objects), (again.tags, ds.tags)
         ):
-            assert set(a.external_ids) == set(b.external_ids)
+            assert set(a.ids.tolist()) == set(b.ids.tolist())
         assert external_edges(again) == external_edges(ds)
 
     @settings(max_examples=60, deadline=None)
@@ -537,7 +537,7 @@ class TestCoreFilter:
             assert ds.user_tag.left_degrees[u] >= 1
         # idempotence up to index relabeling: compare by external ids
         again = core_filter(records_from_dataset(ds))
-        assert set(again.users.external_ids) == set(ds.users.external_ids)
+        assert set(again.users.ids.tolist()) == set(ds.users.ids.tolist())
         assert external_edges(again) == external_edges(ds)
 
 
@@ -588,8 +588,8 @@ class TestSplit:
 
     def test_index_maps_preserved(self, dataset):
         sp = split(dataset, 0.5, seed=2)
-        assert sp.training.users.external_ids == dataset.users.external_ids
-        assert sp.training.objects.external_ids == dataset.objects.external_ids
+        assert sp.training.users.ids.tolist() == dataset.users.ids.tolist()
+        assert sp.training.objects.ids.tolist() == dataset.objects.ids.tolist()
 
     @pytest.mark.parametrize("frac", [0.0, -0.1, 1.5])
     def test_bad_fraction(self, dataset, frac):

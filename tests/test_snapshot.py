@@ -23,7 +23,7 @@ def dataset():
 def test_round_trip(dataset, tmp_path):
     save_dataset(dataset, tmp_path)
     again = load_dataset(tmp_path)
-    assert again.users.external_ids == dataset.users.external_ids
+    assert again.users.ids.tolist() == dataset.users.ids.tolist()
     assert again.user_object.edge_array().tolist() == dataset.user_object.edge_array().tolist()
     assert again.user_tag.edge_array().tolist() == dataset.user_tag.edge_array().tolist()
     assert {p.name for p in tmp_path.iterdir()} == {SNAPSHOT_NAME, "summary.json"}
@@ -162,9 +162,9 @@ def test_npy_in_place_of_snapshot_fails_on_load(tmp_path):
 
 def _contents(dataset):
     return (
-        dataset.users.external_ids,
-        dataset.objects.external_ids,
-        dataset.tags.external_ids,
+        dataset.users.ids.tolist(),
+        dataset.objects.ids.tolist(),
+        dataset.tags.ids.tolist(),
         dataset.user_object.edge_array().tolist(),
         dataset.user_tag.edge_array().tolist(),
     )
@@ -200,7 +200,7 @@ def test_id_ending_in_nul_is_refused_on_save(tmp_path):
     dataset = make_dataset([(0, 0)], [(0, 0)], 1, 1, 1)
     with pytest.raises(IndexMapError, match="NUL"):
         TripartiteDataset(
-            users=EntityIndexMap.from_ids(["u0\0"]),
+            users=EntityIndexMap(["u0\0"]),
             objects=dataset.objects,
             tags=dataset.tags,
             user_object=dataset.user_object,
@@ -224,9 +224,9 @@ def datasets(draw):
     uo = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)), max_size=30))
     ut = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, r - 1)), max_size=30))
     return TripartiteDataset(
-        users=EntityIndexMap.from_ids(users),
-        objects=EntityIndexMap.from_ids(objects),
-        tags=EntityIndexMap.from_ids(tags),
+        users=EntityIndexMap(users),
+        objects=EntityIndexMap(objects),
+        tags=EntityIndexMap(tags),
         user_object=build_graph(uo, m, n),
         user_tag=build_graph(ut, m, r),
     )

@@ -1,21 +1,34 @@
 """The run directory's one writer, and its snapshot of a filtered tripartite
-dataset (ingest once, sweep many): an uncompressed .npz archive of the user,
-object and tag ids (str arrays), a format version and, for each of the
-user-object and user-tag graphs, its canonical CSR arrays `<graph>_indptr`
-and `<graph>_indices` (int32 below 2**31 nodes and edges). Saving writes the
-arrays the dataset holds, and loading hands them as they are, without a sort
-or a Python string per id, to EntityIndexMap and BipartiteGraph, which check
-them. zipfile checks the CRC-32 of each member on read.
+dataset (ingest once, sweep many).
+
+A snapshot is one file of format version 3, in this order:
+1. the 8-byte MAGIC;
+2. the header's length in bytes, a little-endian uint32;
+3. the header, UTF-8 JSON: {"version": 3, "arrays": [[name, dtype, shape], ...]};
+4. each array's C-order bytes, each starting at the next multiple of 8 bytes
+   from the start of the file (zero bytes pad the gaps);
+5. a little-endian uint32 CRC-32 of every byte before it.
+
+The arrays are the user, object and tag ids ("<U<width>" str arrays) and,
+for each of the user-object and user-tag graphs, its canonical CSR arrays
+`<graph>_indptr` and `<graph>_indices` ("<i4" below 2**31 nodes and edges,
+else "<i8"). Offsets follow from the dtypes and shapes, so the header holds
+none. Saving packs the arrays the dataset holds into one buffer. Loading
+reads the file into one buffer, checks its CRC and layout, and hands each
+array, a view into that buffer, to EntityIndexMap and BipartiteGraph, which
+check them. Nothing is unpickled, and no allocation grows with a size the
+header claims.
 """
 
 from __future__ import annotations
 
 import errno
-import io
 import json
+import math
 import os
+import re
+import zlib
 from pathlib import Path
-from zipfile import BadZipFile
 
 import numpy as np
 
@@ -27,13 +40,21 @@ from .core import (
     TripartiteDataset,
 )
 
-SNAPSHOT_NAME = "dataset.npz"
+SNAPSHOT_NAME = "dataset.bin"
 SUMMARY_NAME = "summary.json"
-FORMAT_VERSION = 2
-# what reading a damaged snapshot raises (seen with each byte flipped and each
-# length cut); KeyError is a missing member, RuntimeError includes zipfile's
-# NotImplementedError, TypeError is a lone .npy array in the snapshot's place
-_DAMAGE = (BadZipFile, EOFError, KeyError, OSError, RuntimeError, TypeError, ValueError)
+FORMAT_VERSION = 3
+MAGIC = b"TRIDIFF\n"
+_ARRAYS = [
+    "users", "objects", "tags",
+    "user_object_indptr", "user_object_indices", "user_tag_indptr", "user_tag_indices",
+]
+# the dtypes a snapshot holds: int32 or int64 CSR arrays, and str ids narrower
+# than 10**8 characters (wider ones np.dtype cannot make); never an object or
+# structured dtype
+_DTYPE = re.compile(r"<i[48]|<U[1-9][0-9]{0,7}")
+# what reading a damaged snapshot raises; RecursionError is a header whose JSON
+# nests too deep
+_DAMAGE = (OSError, RecursionError, ValueError)
 
 
 class SnapshotError(ValueError):
@@ -66,20 +87,94 @@ def write_files(contents: dict[Path, bytes]) -> None:
             partial.unlink(missing_ok=True)
 
 
-def _index_map(npz, name: str) -> EntityIndexMap:
-    """The index map of the ids npz holds under name; raises ValueError,
-    naming the member, unless EntityIndexMap accepts them."""
+def _pack(arrays: dict[str, np.ndarray]) -> bytearray:
+    """The snapshot file that holds arrays, in their order (see the module
+    docstring), as one buffer."""
+    arrays = {  # a copy only on a big-endian machine
+        name: array.astype(array.dtype.newbyteorder("<"), copy=False)
+        for name, array in arrays.items()
+    }
+    header = json.dumps({
+        "version": FORMAT_VERSION,
+        "arrays": [[name, array.dtype.str, list(array.shape)] for name, array in arrays.items()],
+    }).encode("utf-8")
+    prefix = MAGIC + len(header).to_bytes(4, "little") + header
+    offsets, end = [], len(prefix)
+    for array in arrays.values():
+        offsets.append(end + -end % 8)
+        end = offsets[-1] + array.nbytes
+    buffer = bytearray(end + 4)
+    buffer[: len(prefix)] = prefix
+    for offset, array in zip(offsets, arrays.values()):
+        np.ndarray(array.shape, array.dtype, buffer, offset)[...] = array
+    buffer[end:] = zlib.crc32(memoryview(buffer)[:end]).to_bytes(4, "little")
+    return buffer
+
+
+def _unpack(buffer: bytearray) -> dict[str, np.ndarray]:
+    """The arrays of a snapshot file's bytes, each a view into buffer; raises
+    ValueError, saying what is wrong, unless buffer is a whole, undamaged
+    snapshot of this format version that holds the arrays save_dataset
+    writes. Sizes are Python ints, so no header can make them wrap."""
+    size = len(buffer)
+    if buffer[: len(MAGIC)] != MAGIC:
+        raise ValueError("not a tridiff snapshot: its first bytes are not the magic")
+    header_end = len(MAGIC) + 4 + int.from_bytes(buffer[len(MAGIC) : len(MAGIC) + 4], "little")
+    if size < header_end + 4:
+        raise ValueError(f"{size} bytes, too short for its header and CRC")
+    if zlib.crc32(memoryview(buffer)[:-4]) != int.from_bytes(buffer[-4:], "little"):
+        raise ValueError("CRC-32 mismatch: the file is damaged")
+    header = json.loads(buffer[len(MAGIC) + 4 : header_end].decode("utf-8"))
+    if not isinstance(header, dict):
+        raise ValueError("the header is not a JSON object")
+    if header.get("version") != FORMAT_VERSION:
+        raise ValueError(
+            f"format version {header.get('version')!r:.20}, expected {FORMAT_VERSION}; "
+            "run tridiff ingest again"
+        )
+    entries = header.get("arrays")
+    if not isinstance(entries, list):
+        raise ValueError("the header lists no arrays")
+    arrays, offset = {}, header_end
+    for entry in entries:
+        match entry:
+            case [str(name), str(dtype), list(shape)] if all(
+                type(n) is int and n >= 0 for n in shape
+            ):
+                pass
+            case _:
+                raise ValueError(f"array entry {entry!r:.80} is not [name, dtype, shape]")
+        if not _DTYPE.fullmatch(dtype):
+            raise ValueError(f"{name!r:.40}: dtype {dtype!r:.40} is not one a snapshot holds")
+        dtype = np.dtype(dtype)
+        offset += -offset % 8
+        count = math.prod(shape)
+        if offset + count * dtype.itemsize > size - 4:
+            raise ValueError(f"{name!r:.40}: {count} x {dtype} runs past the end of the arrays")
+        arrays[name] = np.frombuffer(buffer, dtype, count, offset).reshape(shape)
+        offset += count * dtype.itemsize
+    if offset != size - 4:
+        raise ValueError(f"the arrays end at byte {offset}, not at the CRC's {size - 4}")
+    names = [entry[0] for entry in entries]
+    if names != _ARRAYS:
+        raise ValueError(f"arrays {names!r:.200}, expected {_ARRAYS}")
+    return arrays
+
+
+def _index_map(arrays: dict[str, np.ndarray], name: str) -> EntityIndexMap:
+    """The index map of the ids arrays holds under name; raises ValueError,
+    naming the array, unless EntityIndexMap accepts them."""
     try:
-        return EntityIndexMap(npz[name])
+        return EntityIndexMap(arrays[name])
     except IndexMapError as exc:
         raise ValueError(f"{name}: {exc}") from exc
 
 
-def _graph(npz, name: str, right_count: int) -> BipartiteGraph:
-    """The graph whose CSR arrays npz holds under name; raises ValueError,
+def _graph(arrays: dict[str, np.ndarray], name: str, right_count: int) -> BipartiteGraph:
+    """The graph whose CSR arrays arrays holds under name; raises ValueError,
     naming the graph, unless BipartiteGraph accepts them."""
     try:
-        return BipartiteGraph(npz[f"{name}_indptr"], npz[f"{name}_indices"], right_count)
+        return BipartiteGraph(arrays[f"{name}_indptr"], arrays[f"{name}_indices"], right_count)
     except GraphConstructionError as exc:
         raise ValueError(f"{name}: {exc}") from exc
 
@@ -88,7 +183,6 @@ def save_dataset(dataset: TripartiteDataset, directory: Path) -> Path:
     """Write the dataset's snapshot and summary.json as one set (see
     write_files); returns the snapshot's path."""
     arrays = {
-        "format_version": np.array(FORMAT_VERSION),
         "users": dataset.users.ids,
         "objects": dataset.objects.ids,
         "tags": dataset.tags.ids,
@@ -98,41 +192,34 @@ def save_dataset(dataset: TripartiteDataset, directory: Path) -> Path:
         arrays[f"{name}_indptr"] = graph.indptr
         arrays[f"{name}_indices"] = graph.indices
     path = directory / SNAPSHOT_NAME
-    archive = io.BytesIO()
-    try:
-        np.savez(archive, **arrays)
-    except OSError as exc:  # a write that fails while archiving fails the snapshot
-        raise SnapshotError(f"cannot write {path}: {exc}") from exc
     write_files({
-        path: archive.getvalue(),
+        path: _pack(arrays),
         directory / SUMMARY_NAME: summary(dataset).encode("utf-8"),
     })
     return path
 
 
 def load_dataset(directory: Path) -> TripartiteDataset:
-    """Read back a snapshot written by save_dataset; raises SnapshotError,
-    naming the file, for a snapshot that is missing, cannot be opened, is
-    damaged or has another format version."""
+    """Read back a snapshot written by save_dataset with one read into one
+    buffer; raises SnapshotError, naming the file, for a snapshot that is
+    missing, cannot be opened, is damaged or has another format version."""
     path = directory / SNAPSHOT_NAME
     try:
-        with path.open("rb") as fh, np.load(fh, allow_pickle=False) as npz:
-            version = npz["format_version"].tolist()
-            if version != FORMAT_VERSION:
-                raise ValueError(
-                    f"format version {version!r}, expected {FORMAT_VERSION}; "
-                    "run tridiff ingest again"
-                )
-            users, objects, tags = (
-                _index_map(npz, name) for name in ("users", "objects", "tags")
-            )
-            return TripartiteDataset(
-                users=users,
-                objects=objects,
-                tags=tags,
-                user_object=_graph(npz, "user_object", len(objects)),
-                user_tag=_graph(npz, "user_tag", len(tags)),
-            )
+        with path.open("rb") as fh:
+            buffer = bytearray(os.fstat(fh.fileno()).st_size)
+            if fh.readinto(buffer) != len(buffer):
+                raise ValueError("the file shrank while it was read")
+        arrays = _unpack(buffer)
+        users, objects, tags = (
+            _index_map(arrays, name) for name in ("users", "objects", "tags")
+        )
+        return TripartiteDataset(
+            users=users,
+            objects=objects,
+            tags=tags,
+            user_object=_graph(arrays, "user_object", len(objects)),
+            user_tag=_graph(arrays, "user_tag", len(tags)),
+        )
     except FileNotFoundError as exc:
         raise SnapshotError(f"no snapshot in {directory}; run ingest first") from exc
     except _DAMAGE as exc:

@@ -1,6 +1,10 @@
+import json
+import zlib
+
 import numpy as np
 import pytest
 
+from tridiff import snapshot
 from tridiff.core import (
     BipartiteGraph,
     EntityIndexMap,
@@ -98,10 +102,37 @@ def stats_of_one(scorer, p_obj, p_tag, v, test_objects, lambdas, list_lengths):
     return ranks, hits[0]
 
 
-def rewrite_snapshot(path, drop=(), **arrays) -> None:
-    """Rewrite the snapshot file at path with members replaced or dropped."""
-    with np.load(path) as npz:
-        members = {name: npz[name] for name in npz.files if name not in drop}
+def rewrite_snapshot(path, drop=(), version=None, **arrays) -> None:
+    """Rewrite the snapshot file at path through the library's own packer,
+    with arrays replaced or dropped, or with another format version in its
+    header."""
+    members = snapshot._unpack(bytearray(path.read_bytes()))
+    members = {name: array for name, array in members.items() if name not in drop}
     members.update(arrays)
-    with path.open("wb") as fh:
-        np.savez(fh, **members)
+    with pytest.MonkeyPatch.context() as patch:
+        if version is not None:
+            patch.setattr(snapshot, "FORMAT_VERSION", version)
+        path.write_bytes(snapshot._pack(members))
+
+
+def sealed(data: bytes) -> bytes:
+    """data followed by its CRC-32, as a snapshot file ends."""
+    return data + zlib.crc32(data).to_bytes(4, "little")
+
+
+def snapshot_parts(path) -> tuple[dict, bytes]:
+    """The JSON header of the snapshot file at path, parsed, and its array
+    bytes: from the first array's offset up to the CRC."""
+    data = path.read_bytes()
+    header_end = 12 + int.from_bytes(data[8:12], "little")
+    return json.loads(data[12:header_end]), data[header_end + -header_end % 8 : -4]
+
+
+def frame_snapshot(header: dict | bytes, arrays: bytes) -> bytes:
+    """Snapshot file bytes: the magic, the header's length, the header (a
+    dict is written as JSON), zero bytes up to a multiple of 8, the array
+    bytes and the CRC-32."""
+    if isinstance(header, dict):
+        header = json.dumps(header).encode("utf-8")
+    data = snapshot.MAGIC + len(header).to_bytes(4, "little") + header
+    return sealed(data + bytes(-len(data) % 8) + arrays)

@@ -10,7 +10,7 @@ import pytest
 from tridiff.cli import main
 from tridiff.snapshot import SNAPSHOT_NAME, save_dataset
 
-from conftest import make_dataset, rewrite_snapshot
+from conftest import frame_snapshot, make_dataset, rewrite_snapshot
 
 OBJECT_LINES = """\
 userId\tmovieId\trating
@@ -400,9 +400,9 @@ class TestSweep:
         assert "run ingest first" in capsys.readouterr().err
 
     def test_version_1_snapshot_needs_new_ingest(self, tmp_path, capsys):
-        # the members a version 1 snapshot held: (E, 2) edge lists, no CSR arrays
-        path = tmp_path / SNAPSHOT_NAME
-        with path.open("wb") as fh:
+        # the .npz archive that format versions 1 and 2 wrote has another name;
+        # this one holds version 1's members: (E, 2) edge lists, no CSR arrays
+        with (tmp_path / "dataset.npz").open("wb") as fh:
             np.savez(
                 fh,
                 format_version=np.array(1),
@@ -412,12 +412,22 @@ class TestSweep:
                 user_object=np.array([[0, 0], [1, 0]]),
                 user_tag=np.array([[0, 0], [1, 0]]),
             )
-        want = (
-            f"error: cannot read snapshot {path}: format version 1, expected 2; "
-            "run tridiff ingest again\n"
+        self.assert_every_command_fails(
+            tmp_path, capsys, f"error: no snapshot in {tmp_path}; run ingest first\n"
         )
+        # a snapshot of today's layout whose header holds another version
+        path = tmp_path / SNAPSHOT_NAME
+        path.write_bytes(frame_snapshot({"version": 2, "arrays": []}, b""))
+        self.assert_every_command_fails(
+            tmp_path, capsys,
+            f"error: cannot read snapshot {path}: format version 2, expected 3; "
+            "run tridiff ingest again\n",
+        )
+
+    @staticmethod
+    def assert_every_command_fails(out, capsys, want):
         for command in (["sweep", "--runs", "1"], ["recommend", "--user", "1"]):
-            assert main([command[0], "--out", str(tmp_path), *command[1:]]) == 1
+            assert main([command[0], "--out", str(out), *command[1:]]) == 1
             captured = capsys.readouterr()
             assert captured.err == want
             assert captured.out == ""

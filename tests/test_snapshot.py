@@ -1,5 +1,8 @@
+import json
+import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +13,10 @@ from hypothesis import strategies as st
 from tridiff.core import EntityIndexMap, IndexMapError, TripartiteDataset, build_graph
 from tridiff.evaluation import UndefinedMetricError, evaluate_split
 from tridiff.ingest import split
+from tridiff import snapshot
 from tridiff.snapshot import SNAPSHOT_NAME, SnapshotError, load_dataset, save_dataset
 
-from conftest import make_dataset, rewrite_snapshot
+from conftest import frame_snapshot, make_dataset, rewrite_snapshot, sealed, snapshot_parts
 
 
 @pytest.fixture
@@ -34,11 +38,10 @@ def test_failed_write_keeps_previous_snapshot(dataset, tmp_path, monkeypatch):
     before = path.read_bytes()
     summary_before = (tmp_path / "summary.json").read_bytes()
 
-    def write_then_fail(fh, **arrays):
-        fh.write(b"PK\x03\x04")
+    def fail(source, target):
         raise OSError("disk full")
 
-    monkeypatch.setattr(np, "savez", write_then_fail)
+    monkeypatch.setattr(snapshot.os, "replace", fail)
     with pytest.raises(SnapshotError, match=f"{re.escape(str(path))}: disk full"):
         save_dataset(make_dataset([(0, 0)], [(0, 0)], 1, 1, 1), tmp_path)
     assert path.read_bytes() == before
@@ -47,19 +50,65 @@ def test_failed_write_keeps_previous_snapshot(dataset, tmp_path, monkeypatch):
 
 
 def test_saves_int32_csr_arrays(dataset, tmp_path):
-    path = save_dataset(dataset, tmp_path)
-    with np.load(path) as npz:
-        assert sorted(npz.files) == sorted([
-            "format_version", "users", "objects", "tags",
-            "user_object_indptr", "user_object_indices", "user_tag_indptr", "user_tag_indices",
-        ])
-        assert npz["user_object_indptr"].tolist() == [0, 1, 3]
-        assert npz["user_object_indices"].tolist() == [0, 0, 1]
-        assert npz["user_tag_indptr"].tolist() == [0, 1, 2]
-        assert npz["user_tag_indices"].tolist() == [0, 0]
-        assert {npz[name].dtype for name in npz.files if name.startswith("user_")} == {
-            np.dtype(np.int32)
-        }
+    header, _ = snapshot_parts(save_dataset(dataset, tmp_path))
+    assert header == {
+        "version": 3,
+        "arrays": [
+            ["users", "<U2", [2]],
+            ["objects", "<U2", [2]],
+            ["tags", "<U2", [1]],
+            ["user_object_indptr", "<i4", [3]],
+            ["user_object_indices", "<i4", [3]],
+            ["user_tag_indptr", "<i4", [3]],
+            ["user_tag_indices", "<i4", [2]],
+        ],
+    }
+
+
+@pytest.fixture
+def padded():
+    # ids of 3 characters (12 bytes each) leave gaps before the next array
+    return TripartiteDataset(
+        users=EntityIndexMap(["u00", "u01", "u02"]),
+        objects=EntityIndexMap(["o0", "o1"]),
+        tags=EntityIndexMap(["t0"]),
+        user_object=build_graph([(0, 0), (2, 1)], 3, 2),
+        user_tag=build_graph([(1, 0)], 3, 1),
+    )
+
+
+def test_file_is_the_documented_layout(padded, tmp_path):
+    path = save_dataset(padded, tmp_path)
+    arrays = [
+        np.array(["u00", "u01", "u02"]), np.array(["o0", "o1"]), np.array(["t0"]),
+        np.array([0, 1, 1, 2], dtype="<i4"), np.array([0, 1], dtype="<i4"),
+        np.array([0, 0, 1, 1], dtype="<i4"), np.array([0], dtype="<i4"),
+    ]
+    header, _ = snapshot_parts(path)
+    assert [entry[1:] for entry in header["arrays"]] == [
+        [array.dtype.str, list(array.shape)] for array in arrays
+    ]
+    body = b""
+    for array in arrays:
+        body += bytes(-len(body) % 8) + array.tobytes()
+    assert path.read_bytes() == frame_snapshot(header, body)
+
+
+def test_loaded_arrays_are_aligned_contiguous_and_writeable(padded, tmp_path):
+    # as np.load's were: the file is read into a bytearray, not a bytes object;
+    # int64 CSR arrays test the padding after the 36 bytes of user ids
+    path = save_dataset(padded, tmp_path)
+    rewrite_snapshot(path, **{
+        f"{name}_{part}": getattr(getattr(padded, name), part).astype("<i8")
+        for name in ("user_object", "user_tag") for part in ("indptr", "indices")
+    })
+    again = load_dataset(tmp_path)
+    assert again.user_tag.indices.dtype == np.int64
+    arrays = [again.users.ids, again.objects.ids, again.tags.ids]
+    for graph in (again.user_object, again.user_tag):
+        arrays += [graph.indptr, graph.indices]
+    for array in arrays:
+        assert array.flags.aligned and array.flags.c_contiguous and array.flags.writeable
 
 
 def test_float_edge_fails_on_load(dataset, tmp_path):
@@ -85,10 +134,13 @@ class _Trap:
 
 
 def test_pickled_member_is_refused(dataset, tmp_path):
+    # an object array is written as its pointers, with dtype "|O" in the header
     path = save_dataset(dataset, tmp_path)
     rewrite_snapshot(path, users=np.array([_Trap(), "u1"], dtype=object))
-    with pytest.raises(SnapshotError, match=re.escape(str(path))):
+    assert snapshot_parts(path)[0]["arrays"][0] == ["users", "|O", [2]]
+    with pytest.raises(SnapshotError, match=re.escape(str(path))) as raised:
         load_dataset(tmp_path)
+    assert "dtype '|O'" in str(raised.value)
     assert UNPICKLED == []
 
 
@@ -98,7 +150,7 @@ def test_pickled_member_is_refused(dataset, tmp_path):
     "damage",
     [
         {"drop": ("user_tag_indices",)},
-        {"format_version": np.array(1)},
+        {"version": 2},
         {"users": np.array(["u0", "u1", "u0"])},  # a repeated id
         {"users": np.array([["u0", "u1"]])},
         {"users": np.arange(2)},
@@ -135,20 +187,64 @@ def test_truncated_snapshot_fails_on_load(dataset, tmp_path):
             load_dataset(tmp_path)
 
 
-@pytest.mark.parametrize(
-    "offset, value",
-    # in the first central directory header: version needed, flags (bit 0:
-    # encrypted), compression method; then the high byte of the directory's
-    # offset in the end record
-    [(6, 0xFF), (8, 0x01), (10, 0xFF), (-3, 0xFF)],
-    ids=["version_needed", "encrypted", "compression", "directory_offset"],
-)
-def test_damaged_zip_metadata_fails_on_load(dataset, tmp_path, offset, value):
+def _with_entry(header, arrays, index, **changes):
+    """A snapshot of header, with array entry index changed, and arrays."""
+    entries = [list(entry) for entry in header["arrays"]]
+    for field, value in changes.items():
+        entries[index][("name", "dtype", "shape").index(field)] = value
+    return frame_snapshot({**header, "arrays": entries}, arrays)
+
+
+# each ends in a valid CRC, so the damage is found by the header's checks, and
+# the error says which; dataset's arrays are users, objects, tags (2 x, 2 x and
+# 1 x <U2), then the int32 CSR arrays
+HEADER_DAMAGES = {
+    "bad_magic": ("not a tridiff snapshot", lambda header, arrays, data: sealed(
+        b"PK\x03\x04\0\0\0\0" + data[8:-4]
+    )),
+    "length_past_end": ("too short for its header", lambda header, arrays, data: sealed(
+        data[:8] + len(data).to_bytes(4, "little") + data[12:-4]
+    )),
+    "json": ("Expecting", lambda header, arrays, data: frame_snapshot(
+        b'{"version": 3, "arrays": [', arrays
+    )),
+    "nested_json": ("recursion", lambda header, arrays, data: frame_snapshot(
+        b"[" * 100_000, arrays
+    )),
+    "not_an_object": ("not a JSON object", lambda header, arrays, data: frame_snapshot(
+        b"[3]", arrays
+    )),
+    "version_2": ("format version 2, expected 3", lambda header, arrays, data: frame_snapshot(
+        {**header, "version": 2}, arrays
+    )),
+    # 16 bytes, as the users' entry they replace, so only the dtype is wrong
+    "dtype_object": ("dtype '|O'", lambda header, arrays, data: _with_entry(
+        header, arrays, 0, dtype="|O", shape=[2]
+    )),
+    "dtype_float": ("dtype '<f8'", lambda header, arrays, data: _with_entry(
+        header, arrays, 0, dtype="<f8", shape=[2]
+    )),
+    "dtype_structured": ("dtype '|V8'", lambda header, arrays, data: _with_entry(
+        header, arrays, 0, dtype="|V8", shape=[2]
+    )),
+    # 2**62 * 4 * 4 bytes; a wrapping int64 product would make it 0
+    "shape_overflow": ("runs past the end", lambda header, arrays, data: _with_entry(
+        header, arrays, 6, shape=[2**62, 4]
+    )),
+    "sizes": ("the arrays end at byte", lambda header, arrays, data: _with_entry(
+        header, arrays, 6, shape=[1]
+    )),
+    "trailing_byte": ("the arrays end at byte", lambda header, arrays, data: sealed(
+        data[:-4] + b"\0"
+    )),
+}
+
+
+@pytest.mark.parametrize("reason, damage", HEADER_DAMAGES.values(), ids=HEADER_DAMAGES.keys())
+def test_damaged_header_fails_on_load(dataset, tmp_path, reason, damage):
     path = save_dataset(dataset, tmp_path)
-    data = bytearray(path.read_bytes())
-    data[offset if offset < 0 else data.find(b"PK\x01\x02") + offset] = value
-    path.write_bytes(data)
-    with pytest.raises(SnapshotError, match=re.escape(str(path))):
+    path.write_bytes(damage(*snapshot_parts(path), path.read_bytes()))
+    with pytest.raises(SnapshotError, match=f"{re.escape(str(path))}: .*{re.escape(reason)}"):
         load_dataset(tmp_path)
 
 
@@ -170,28 +266,84 @@ def _contents(dataset):
     )
 
 
-@settings(max_examples=200, deadline=None)
+def test_flipped_bit_fails(dataset, tmp_path):
+    # the CRC-32 covers the header, the padding and the arrays, and a CRC-32
+    # finds every single-bit error, in the stored CRC's own bits too
+    path = save_dataset(dataset, tmp_path)
+    data = path.read_bytes()
+    for position in range(len(data)):
+        for bit in range(8):
+            damaged = bytearray(data)
+            damaged[position] ^= 1 << bit
+            path.write_bytes(damaged)
+            with pytest.raises(SnapshotError, match=re.escape(str(path))):
+                load_dataset(tmp_path)
+
+
+# dtype strings near the ones a snapshot holds, and ones it must refuse
+DTYPES = [
+    "<U2", "<U1", "<U4", "<U0", "<U99999999", "<U100000000", "U2", ">U2", "<i4", "<i8",
+    "<i2", ">i4", "|i1", "<u4", "<f8", "|O", "O", "|V8", "|b1", "<M8[s]",
+]
+names = st.one_of(st.sampled_from(snapshot._ARRAYS), st.text(max_size=6))
+dtypes = st.one_of(st.sampled_from(DTYPES), st.text(max_size=6))
+shapes = st.lists(
+    st.one_of(st.integers(0, 9), st.integers(-2, 2**70), st.just(True), st.just(2.0)),
+    max_size=3,
+)
+
+
+def _described(header: bytes, data: bytes) -> tuple:
+    """_contents of the dataset that header describes in the file data,
+    read from the documented layout without the library's reader."""
+    arrays, offset = {}, 12 + len(header)
+    for name, dtype, shape in json.loads(header)["arrays"]:
+        offset += -offset % 8
+        arrays[name] = np.frombuffer(data, dtype, math.prod(shape), offset).reshape(shape)
+        offset += arrays[name].nbytes
+    edges = []
+    for graph in ("user_object", "user_tag"):
+        indptr = arrays[f"{graph}_indptr"]
+        rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+        edges.append(np.column_stack([rows, arrays[f"{graph}_indices"]]).tolist())
+    return (*(arrays[name].tolist() for name in ("users", "objects", "tags")), *edges)
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_flipped_bit_fails_or_loads_the_same(data):
-    # the zip CRC-32 of each member catches damage to the arrays; damage to
-    # zip metadata that is not read back may load, but then loads the same.
-    # Half the flips land in the central directory, whose damage raises the
-    # most kinds of error.
+def test_untrusted_header_loads_what_it_describes_or_fails(data):
+    # a header of arbitrary names, dtype strings and shapes, each entry kept
+    # or not, over the arrays' bytes cut or lengthened, with a valid CRC: the
+    # load either raises SnapshotError or gives the dataset the header
+    # describes, and never allocates much more than the file's size
     dataset = make_dataset([(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 0)], 2, 2, 1)
     with tempfile.TemporaryDirectory() as tmp:
         path = save_dataset(dataset, Path(tmp))
-        damaged = bytearray(path.read_bytes())
-        directory = damaged.find(b"PK\x01\x02")
-        position = st.one_of(
-            st.integers(0, len(damaged) - 1), st.integers(directory, len(damaged) - 1)
-        )
-        damaged[data.draw(position)] ^= 1 << data.draw(st.integers(0, 7))
+        header, arrays = snapshot_parts(path)
+        drawn = [
+            data.draw(st.just(entry) | st.tuples(
+                st.just(name) | names, st.just(dtype) | dtypes, st.just(shape) | shapes
+            ))
+            for entry in header["arrays"] if data.draw(st.integers(0, 9))  # or dropped
+            for name, dtype, shape in [entry]
+        ]
+        drawn += data.draw(st.lists(st.tuples(names, dtypes, shapes), max_size=2))
+        header = json.dumps({
+            **header, "arrays": data.draw(st.just(header["arrays"]) | st.just(drawn))
+        }).encode("utf-8")
+        cut = data.draw(st.integers(-len(arrays), 24))
+        damaged = frame_snapshot(header, arrays[:cut] if cut < 0 else arrays + bytes(cut))
         path.write_bytes(damaged)
+        tracemalloc.start()
         try:
             again = load_dataset(Path(tmp))
         except SnapshotError:
             return
-    assert _contents(again) == _contents(dataset)
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < 64 * len(damaged) + 2**20
+    assert _contents(again) == _described(header, damaged)
 
 
 def test_id_ending_in_nul_is_refused_on_save(tmp_path):

@@ -23,7 +23,7 @@ def nonzero(vec):
 g = build_graph([(0, 0), (0, 1), (1, 0), (2, 1)], left_count=3, right_count=2)
 
 print("step 1: u1 splits its unit over the movies it collected")
-movies = g.left_neighbors(0)
+movies = g.indices[g.indptr[0] : g.indptr[1]]
 print("  ", {int(a): 1.0 / len(movies) for a in movies})
 
 print("\nstep 2: each movie splits its share over its collectors")
@@ -58,5 +58,5 @@ print("\nfusing object and tag channels for u3, who collected only o2:")
 print("(nobody else used u3's tag, so the tag channel alone scores nothing)")
 movies = dataset.objects.ids.tolist()
 for lam in (0.0, 0.5, 1.0):
-    listing = scorer.top_l(scorer.combine(p_obj, p_tag, lam), 2, L=2)
+    listing = scorer.top_l(scorer.combine(p_obj, p_tag, lam), L=2)
     print(f"  lambda={lam}: {[(movies[o], s) for o, s in listing]}")

@@ -38,6 +38,6 @@ p_obj, p_tag = (p[0] for p in scorer.channel_scores([target]))
 movies = dataset.objects.ids.tolist()
 
 for lam in (0.0, 0.74, 1.0):
-    listing = scorer.top_l(scorer.combine(p_obj, p_tag, lam), target, L=3)
+    listing = scorer.top_l(scorer.combine(p_obj, p_tag, lam), L=3)
     pretty = [(movies[o], round(s, 4)) for o, s in listing]
     print(f"lambda={lam}: top movies for user 1 -> {pretty}")

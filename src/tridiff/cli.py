@@ -189,7 +189,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     scorer = Scorer(dataset, args.similarity)
     p_obj, p_tag = scorer.channel_scores([v])
     p = scorer.combine(p_obj[0], p_tag[0], args.lambda_)
-    listing = scorer.top_l(p, v, args.L)
+    listing = scorer.top_l(p, args.L)
     if not listing:
         print(f"warning: no positive-score objects for user {args.user}", file=sys.stderr)
         return 0

@@ -156,16 +156,10 @@ class BipartiteGraph:
             shape=(self.left_count, self.right_count),
         )
 
-    def left_neighbors(self, u: int) -> np.ndarray:
-        """Sorted right-node indices adjacent to left node u."""
-        if not 0 <= u < self.left_count:
-            raise IndexError(f"left index {u} out of range [0, {self.left_count})")
-        return self.indices[self.indptr[u] : self.indptr[u + 1]]
-
     def block_edges(self, lefts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """The edges of a block of left nodes as (row, right) arrays: row i
-        indexes lefts, and left_neighbors(lefts[i]) follow each other in the
-        order of lefts. The pair indexes a (len(lefts), right_count) array."""
+        indexes lefts, and the sorted neighbors of lefts[i] follow each other
+        in the order of lefts. The pair indexes a (len(lefts), right_count) array."""
         lefts = np.asarray(lefts, dtype=np.intp)
         degrees = self.left_degrees[lefts]
         rows = np.repeat(np.arange(len(lefts)), degrees)

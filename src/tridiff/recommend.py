@@ -7,11 +7,11 @@ on the user-tag graph, both scattered over the user-object graph), and the
 channels are fused linearly with a weight lam in [0, 1] (lam = 1 keeps only
 the object channel).
 
-Objects the target already collected in training never compete. A top-L
-list holds positive scores only, best first, ties broken by ascending
-object index; the evaluation protocol's hits follow the same rule. The
-protocol ranks a block of test users' held-out objects at every lambda of a
-sweep in one block_stats call, on a LambdaGrid prepared once per split.
+Objects the target already collected in training score COLLECTED in both
+channels and never compete. A top-L list holds positive scores only, best
+first, ties broken by ascending object index, as do the evaluation's hits.
+The protocol ranks a block of test users' held-out objects at every lambda
+of a sweep in one block_stats call, on a LambdaGrid prepared once per split.
 """
 
 from __future__ import annotations
@@ -34,6 +34,9 @@ _MARGIN_FACTOR = 16.0
 _UNIT_ROUNDOFF = 2.0**-53
 _SMALLEST_SUBNORMAL = 2.0**-1074
 _PAIR_CHUNK = 1 << 16  # (competitor, lambda) pairs compared at once
+# A collected object's score in both channels: below every real score (>= 0),
+# and finite, so combine's 0 * score at lam = 0 or 1 is never NaN.
+COLLECTED = -1.0
 
 
 class LambdaGrid:
@@ -77,14 +80,18 @@ class Scorer:
     def channel_scores(self, users: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """Object scores toward each of users from the object and from the tag
         channel, as two C-contiguous (len(users), n_objects) arrays; each user's
-        own similarity is left out. Every score sums over users in ascending order.
+        own similarity is left out. Every score sums over users in ascending
+        order and is >= 0, but COLLECTED at the user's collected objects.
         """
         users = np.asarray(users, dtype=np.intp)
+        collected = self.dataset.user_object.block_edges(users)
         scores = []
         for graph in (self.dataset.user_object, self.dataset.user_tag):
             s = similarity_matrix(graph, users, self.kind).T  # (m, len(users)), C-ordered
             s[users, np.arange(len(users))] = 0.0
-            scores.append(np.ascontiguousarray((self._scatter @ s).T))
+            p = np.ascontiguousarray((self._scatter @ s).T)
+            p[collected] = COLLECTED
+            scores.append(p)
         return scores[0], scores[1]
 
     @staticmethod
@@ -93,19 +100,18 @@ class Scorer:
         p_tag at lam = 0."""
         return lam * p_obj + (1.0 - lam) * p_tag
 
-    def top_l(self, p: np.ndarray, v: int, L: int) -> list[tuple[int, float]]:
-        """The L best uncollected objects of v as (object, score); zero
-        scores are never listed."""
+    @staticmethod
+    def top_l(p: np.ndarray, L: int) -> list[tuple[int, float]]:
+        """The L best objects of a user's channel_scores row, or of their
+        combine, as (object, score); only positive scores are listed."""
         if L < 1:
             raise ValueError(f"L must be >= 1, got {L}")
-        masked = p.copy()  # collected objects rank below every score and never tie
-        masked[self.dataset.user_object.left_neighbors(v)] = -np.inf
-        candidates = np.flatnonzero(masked > 0.0)
+        candidates = np.flatnonzero(p > 0.0)
         if len(candidates) > L:  # keep the L best and every score tied with the L-th
-            values = masked[candidates]
+            values = p[candidates]
             candidates = candidates[values >= np.partition(values, -L)[-L]]
-        best = candidates[np.argsort(-masked[candidates], kind="stable")[:L]]
-        return [(int(a), float(masked[a])) for a in best]
+        best = candidates[np.argsort(-p[candidates], kind="stable")[:L]]
+        return [(int(a), float(p[a])) for a in best]
 
     def block_stats(
         self, p_obj: np.ndarray, p_tag: np.ndarray, users: Sequence[int],
@@ -115,8 +121,8 @@ class Scorer:
         uncollected objects, and how many of them each top-L list holds, at
         every lambda of grid.
 
-        Row i of p_obj and p_tag holds the channel scores toward users[i],
-        whose test objects test_objects[i] (at least one) are uncollected.
+        Row i of p_obj and p_tag is channel_scores' row for users[i], whose
+        test objects test_objects[i] (at least one) are uncollected.
         Pair q is the q-th (user, test object), users in order and each
         user's objects in the order given. Returns ranks[q, g], the midrank
         of pair q's object under combine(p_obj[i], p_tag[i], grid.lams[g])
@@ -127,15 +133,14 @@ class Scorer:
 
         Both are computed here from each pair's counts at every lambda. A
         crossing grid is counted from crossing points for the whole block
-        (_crossing_counts), which overwrites each row's collected objects in
-        p_obj and p_tag with -inf; a shorter grid compares fused scores at
-        every lambda, one user at a time (_direct_counts).
+        (_crossing_counts); a shorter grid compares fused scores at every
+        lambda, one user at a time (_direct_counts). Neither writes into
+        any argument.
         """
-        users = np.asarray(users, dtype=np.intp)
         counts = self._crossing_counts if grid.crossing else self._direct_counts
-        (greater, equal, before), fa = counts(p_obj, p_tag, users, test_objects, grid)
+        (greater, equal, before), fa = counts(p_obj, p_tag, test_objects, grid)
         sizes = [len(a) for a in test_objects]
-        degrees = np.repeat(self.dataset.user_object.left_degrees[users], sizes)
+        degrees = np.repeat(self.dataset.user_object.left_degrees[np.asarray(users)], sizes)
         n_uncollected = self.n_objects - degrees[:, None]
         lengths = np.asarray(grid.list_lengths)
         listed = _listed(fa[..., None], greater[..., None], before[..., None], lengths)
@@ -143,22 +148,20 @@ class Scorer:
         return _midrank(greater, equal, n_uncollected), hits
 
     def _direct_counts(
-        self, p_obj: np.ndarray, p_tag: np.ndarray, users: np.ndarray,
+        self, p_obj: np.ndarray, p_tag: np.ndarray,
         test_objects: Sequence[Sequence[int]], grid: LambdaGrid,
     ) -> tuple[np.ndarray, np.ndarray]:
         """_crossing_counts' result by comparing fused scores, one user and
         one lambda at a time."""
         counts, scores = [], []
-        for i, v in enumerate(users.tolist()):
-            collected = self.dataset.user_object.left_neighbors(v)
-            alphas = np.asarray(test_objects[i], dtype=np.intp)
+        for i, tests in enumerate(test_objects):
+            alphas = np.asarray(tests, dtype=np.intp)
             user_counts, user_scores = [], []
             for lam in grid.lams.tolist():
-                masked = self.combine(p_obj[i], p_tag[i], lam)
-                masked[collected] = -np.inf
-                user_scores.append(masked[alphas])
+                p = self.combine(p_obj[i], p_tag[i], lam)
+                user_scores.append(p[alphas])
                 user_counts.append([
-                    (_count(masked > pa), _count(masked == pa), _count(masked[:alpha] == pa))
+                    (_count(p > pa), _count(p == pa), _count(p[:alpha] == pa))
                     for alpha, pa in zip(alphas.tolist(), user_scores[-1].tolist())
                 ])
             # (lambda, pair, count) -> (count, pair, lambda)
@@ -167,7 +170,7 @@ class Scorer:
         return np.concatenate(counts, axis=1), np.concatenate(scores)
 
     def _crossing_counts(
-        self, p_obj: np.ndarray, p_tag: np.ndarray, users: np.ndarray,
+        self, p_obj: np.ndarray, p_tag: np.ndarray,
         test_objects: Sequence[Sequence[int]], grid: LambdaGrid,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Counts of each test pair q at every lambda g of a crossing grid:
@@ -190,9 +193,7 @@ class Scorer:
         """
         points, end = grid.points, len(grid.points) - 1
         reach = (2.0 * _crossing_margin(p_obj, p_tag, grid.spacing)).tolist()
-        collected = self.dataset.user_object.block_edges(users)
-        p_obj[collected] = p_tag[collected] = -np.inf
-        rows = np.repeat(np.arange(len(users)), [len(a) for a in test_objects])
+        rows = np.repeat(np.arange(len(test_objects)), [len(a) for a in test_objects])
         alphas = np.concatenate(test_objects).astype(np.intp)
         n = self.n_objects
         stats, cross, near = [], [], []
@@ -283,11 +284,11 @@ def _crossing_margin(p_obj: np.ndarray, p_tag: np.ndarray, spacing: float) -> np
     rounding may decide a comparison of fused scores at an interior point of
     a grid whose smallest gap is spacing (see Scorer._crossing_counts).
 
-    Let u = 2**-53, M = max|p_obj| + max|p_tag|, and s the smallest gap of
-    grid = [0, interior points, 1]: the least of the smallest interior lam,
-    the smallest interior mu = fl(1 - lam) and the smallest gap between
-    interior points. The margin is 16 (u M + 2**-1074) / s, capped at 2 M,
-    past which every object is within reach anyway.
+    Let u = 2**-53, M = max p_obj + max p_tag over the row, and s the
+    smallest gap of grid = [0, interior points, 1]: the least of the
+    smallest interior lam, the smallest interior mu = fl(1 - lam) and the
+    smallest gap between interior points. The margin is 16 (u M +
+    2**-1074) / s, capped at 2 M, past which every object is within reach.
 
     combine computes f = fl(fl(lam * o) + fl(mu * t)). Each of the three
     roundings is within u relative or, below the normal range, within
@@ -303,9 +304,12 @@ def _crossing_margin(p_obj: np.ndarray, p_tag: np.ndarray, spacing: float) -> np
       4.001 u of the exact one. A point that does not bracket the computed
       lam* lies at least s from it, so |g| >= (s - 4.001 u) margin / (1 + u)
       - u M / 2 > E once s > 6 u. For smaller s the margin is 2 M, and
-      every object is compared directly.
+      every uncollected object is compared directly.
+    Every object the bound compares is uncollected: a collected one is below
+    all others by both signs and by its fused score (< 0). Uncollected scores
+    are >= 0, so M bounds |o| + |t| and is >= 0 (every row holds a test object).
     """
-    scale = np.abs(p_obj).max(axis=1) + np.abs(p_tag).max(axis=1)
+    scale = p_obj.max(axis=1) + p_tag.max(axis=1)
     with np.errstate(over="ignore"):  # a margin past the cap may overflow to inf
         margin = _MARGIN_FACTOR * (_UNIT_ROUNDOFF * scale + _SMALLEST_SUBNORMAL) / spacing
     return np.minimum(margin, 2.0 * scale)

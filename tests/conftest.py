@@ -93,8 +93,8 @@ def random_tripartite(
 
 
 def stats_of_one(scorer, p_obj, p_tag, v, test_objects, lambdas, list_lengths):
-    """Scorer.block_stats for a block of one user v, on copies of its score
-    rows: ranks (test object x lambda) and hits (lambda x list length)."""
+    """Scorer.block_stats for a block of one user v: ranks (test object x
+    lambda) and hits (lambda x list length)."""
     grid = LambdaGrid(lambdas, list_lengths)
     ranks, hits = scorer.block_stats(
         np.array([p_obj]), np.array([p_tag]), [v], [test_objects], grid

@@ -55,7 +55,9 @@ def test_brute_force_oracle():
         for _ in range(200):
             g = random_graph(rng, max_left=50, max_right=50)
             S = brute_diffusion_matrix(g)
-            neigh = [set(g.left_neighbors(u).tolist()) for u in range(g.left_count)]
+            neigh = [
+                set(g.indices[g.indptr[u] : g.indptr[u + 1]].tolist()) for u in range(g.left_count)
+            ]
             users = np.arange(g.left_count)
             rows_d, rows_c, rows_j = (
                 similarity_matrix(g, users, kind) for kind in ("diffusion", "cosine", "jaccard")

@@ -166,11 +166,6 @@ class TestBuildGraph:
             with pytest.raises(GraphConstructionError):
                 build_graph(bad, 3, 2)
 
-    def test_neighbor_index_errors(self):
-        g = build_graph(F1_EDGES, 3, 2)
-        with pytest.raises(IndexError):
-            g.left_neighbors(3)
-
 
 # a valid graph: u0: {0, 2}, u1: {}, u2: {1}; right_count 3
 GOOD_INDPTR, GOOD_INDICES = [0, 2, 2, 3], [0, 2, 1]
@@ -256,7 +251,8 @@ class TestGraphInvariants:
         assert g.edge_count == len(set(edges))
         # both directions enumerate the same edge set
         from_left = {
-            (u, int(x)) for u in range(m) for x in g.left_neighbors(u)
+            (u, int(x)) for u in range(m)
+            for x in g.indices[g.indptr[u] : g.indptr[u + 1]]
         }
         by_right = g.matrix.T.tocsr()
         assert np.array_equal(g.right_degrees, np.diff(by_right.indptr))
@@ -281,7 +277,7 @@ class TestGraphInvariants:
         m, n, edges = spec
         g = build_graph(edges, m, n)
         for u in range(m):
-            neigh = g.left_neighbors(u)
+            neigh = g.indices[g.indptr[u] : g.indptr[u + 1]]
             assert np.all(np.diff(neigh) > 0)
 
     @settings(max_examples=150, deadline=None)
@@ -295,7 +291,7 @@ class TestGraphInvariants:
         (m, n, edges), lefts = case
         g = build_graph(edges, m, n)
         rows, right = g.block_edges(lefts)
-        neighbors = [g.left_neighbors(u).tolist() for u in lefts]
+        neighbors = [g.indices[g.indptr[u] : g.indptr[u + 1]].tolist() for u in lefts]
         assert rows.tolist() == [i for i, neigh in enumerate(neighbors) for _ in neigh]
         assert right.tolist() == [x for neigh in neighbors for x in neigh]
 
@@ -311,7 +307,7 @@ class TestTripartiteDataset:
 
     def test_degree_out_of_range(self, f1_dataset):
         with pytest.raises(IndexError):
-            len(f1_dataset.user_object.left_neighbors(3))
+            f1_dataset.user_object.left_degrees[3]
 
     def test_star_user_degree(self):
         # one user linked to every object and every tag

@@ -22,7 +22,7 @@ from tridiff.evaluation import (
     run_sweep,
 )
 from tridiff.ingest import EvaluationSplit, split
-from tridiff.recommend import LambdaGrid, Scorer
+from tridiff.recommend import COLLECTED, LambdaGrid, Scorer
 from tridiff.snapshot import save_dataset
 
 from conftest import make_dataset, random_tripartite, stats_of_one
@@ -121,6 +121,14 @@ SCORE_POOL = (
 LAMBDA_POOL = (0.0, 1.0, 1e-12, 1.0 - 1e-12, 0.5, np.nextafter(0.5, 1.0), 0.25, 0.75, 0.02, 1 / 3)
 
 
+def masked(p, collected):
+    """A copy of the score row p holding COLLECTED at the collected objects,
+    as channel_scores returns it."""
+    p = p.copy()
+    p[collected] = COLLECTED
+    return p
+
+
 SCORE = st.one_of(st.sampled_from(SCORE_POOL), st.floats(0.0, 3.0))
 LAMBDA = st.one_of(st.sampled_from(LAMBDA_POOL), st.floats(0.0, 1.0))
 
@@ -177,7 +185,8 @@ class TestSweepStats:
         for threshold in (1, len(lambdas) + 1):
             with mock.patch.object(recommend, "MIN_CROSSING_POINTS", threshold):
                 ranks, hits = stats_of_one(
-                    scorer, p_obj, p_tag, 0, test_objects, lambdas, (1, 2, 5)
+                    scorer, masked(p_obj, collected), masked(p_tag, collected), 0,
+                    test_objects, lambdas, (1, 2, 5),
                 )
             assert np.array_equal(ranks, expected[0])
             assert np.array_equal(hits, expected[1])
@@ -191,20 +200,38 @@ class TestSweepStats:
         uo = [(i, x) for i, (_, _, collected, _) in enumerate(users) for x in collected]
         ds = make_dataset(uo + [(b, 0)], [(i, 0) for i in range(b + 1)], b + 1, n, 1)
         scorer = Scorer(ds, "diffusion")
-        p_obj, p_tag, _, test_objects = (list(column) for column in zip(*users))
+        p_obj = np.array([masked(o, collected) for o, _, collected, _ in users])
+        p_tag = np.array([masked(t, collected) for _, t, collected, _ in users])
+        test_objects = [tests for *_, tests in users]
         first = np.cumsum([0] + [len(tests) for tests in test_objects])
         # the path is chosen when the grid is prepared: crossing, then direct
         for threshold in (1, len(lambdas) + 1):
             with mock.patch.object(recommend, "MIN_CROSSING_POINTS", threshold):
                 grid = LambdaGrid(lambdas, (1, 2, 5))
             assert grid.crossing == (threshold == 1 and any(0.0 < lam < 1.0 for lam in lambdas))
-            ranks, hits = scorer.block_stats(
-                np.array(p_obj), np.array(p_tag), range(b), test_objects, grid
-            )
+            ranks, hits = scorer.block_stats(p_obj, p_tag, range(b), test_objects, grid)
             for i, (o, t, collected, tests) in enumerate(users):
                 expected = brute_sweep_stats(o, t, collected, tests, lambdas, (1, 2, 5))
                 assert np.array_equal(ranks[first[i] : first[i + 1]], expected[0])
                 assert np.array_equal(hits[i], expected[1])
+
+    @pytest.mark.parametrize("lambdas", [lambda_grid(0.0, 1.0, 0.02), (0.5,)])
+    def test_leaves_its_inputs_unchanged(self, lambdas):
+        # a crossing grid and a one-lambda grid, on a block of real channel scores
+        dataset = random_tripartite(
+            np.random.default_rng(7), m=40, n=60, r=20, obj_density=0.1, tag_density=0.1
+        )
+        evaluation_split = split(dataset, 0.8, 1)
+        scorer = Scorer(evaluation_split.training, "diffusion")
+        users, objects = np.unique(evaluation_split.test_edges, axis=0).T
+        block, first = np.unique(users, return_index=True)
+        tests = np.split(objects, first[1:])
+        grid = LambdaGrid(lambdas, (5,))
+        assert grid.crossing == (len(lambdas) > 1)
+        p_obj, p_tag = scorer.channel_scores(block)
+        before = p_obj.tobytes(), p_tag.tobytes()
+        scorer.block_stats(p_obj, p_tag, block, tests, grid)
+        assert (p_obj.tobytes(), p_tag.tobytes()) == before
 
     def test_rejects_lambda_outside_unit_interval(self):
         for lam in (-0.1, 1.1, float("nan")):

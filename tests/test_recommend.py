@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from tridiff import recommend
 from tridiff.evaluation import lambda_grid
 from tridiff.ingest import split
-from tridiff.recommend import Scorer
+from tridiff.recommend import COLLECTED, Scorer
 from tridiff.similarity import KINDS, similarity_matrix
 
 from conftest import make_dataset, random_tripartite, stats_of_one
@@ -25,7 +25,7 @@ def scores(dataset, target, sims):
         s[0, u] = x
     with mock.patch.object(recommend, "similarity_matrix", lambda *_: s.copy()):
         p_obj, _ = scorer.channel_scores([target])
-    return dict(scorer.top_l(p_obj[0], target, scorer.n_objects))
+    return dict(scorer.top_l(p_obj[0], scorer.n_objects))
 
 
 class TestScoreObjects:
@@ -53,16 +53,9 @@ class TestScoreObjects:
     def test_no_leakage(self, f2_dataset):
         for target in range(3):
             sv = scores(f2_dataset, target, {u: 1.0 for u in range(3) if u != target})
-            collected = set(
-                f2_dataset.user_object.left_neighbors(target).tolist()
-            )
+            graph = f2_dataset.user_object
+            collected = set(graph.indices[graph.indptr[target] : graph.indptr[target + 1]].tolist())
             assert not collected & set(sv)
-
-
-@pytest.fixture
-def no_collections():
-    """Scorer for a user 0 who collected none of 10 objects."""
-    return Scorer(make_dataset([(1, 0)], [(1, 0)], 2, 10, 1), "diffusion")
 
 
 def dense(entries, n=10):
@@ -73,24 +66,26 @@ def dense(entries, n=10):
 
 
 class TestTopL:
-    def test_sort_and_tiebreak(self, no_collections):
+    top_l = staticmethod(Scorer.top_l)
+
+    def test_sort_and_tiebreak(self):
         p = dense({3: 0.25, 5: 0.25, 4: 0.9})
-        assert no_collections.top_l(p, 0, 2) == [(4, 0.9), (3, 0.25)]
+        assert self.top_l(p, 2) == [(4, 0.9), (3, 0.25)]
 
-    def test_empty(self, no_collections):
-        assert no_collections.top_l(dense({}), 0, 5) == []
+    def test_empty(self):
+        assert self.top_l(dense({}), 5) == []
 
-    def test_truncation_to_positive(self, no_collections):
+    def test_truncation_to_positive(self):
         p = dense({1: 0.1, 2: 0.2})
-        assert [o for o, _ in no_collections.top_l(p, 0, 10)] == [2, 1]
+        assert [o for o, _ in self.top_l(p, 10)] == [2, 1]
 
-    def test_l_validation(self, no_collections):
+    def test_l_validation(self):
         with pytest.raises(ValueError):
-            no_collections.top_l(dense({}), 0, 0)
+            self.top_l(dense({}), 0)
 
-    def test_tie_block_ascending_index(self, no_collections):
+    def test_tie_block_ascending_index(self):
         p = dense({9: 0.5, 2: 0.5, 7: 0.5})
-        assert [o for o, _ in no_collections.top_l(p, 0, 3)] == [2, 7, 9]
+        assert [o for o, _ in self.top_l(p, 3)] == [2, 7, 9]
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -100,12 +95,11 @@ class TestTopL:
         values = data.draw(st.lists(st.sampled_from((0.0, 0.25, 0.5, 1.0)), min_size=n, max_size=n))
         collected = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
         L = data.draw(st.integers(1, n + 2))
-        owned = [(0, a) for a in range(n) if collected[a]]
-        scorer = Scorer(make_dataset(owned + [(1, 0)], [(1, 0)], 2, n, 1), "diffusion")
         p = np.array(values)
         candidates = np.array([a for a in range(n) if not collected[a] and p[a] > 0.0], dtype=np.intp)
         best = candidates[np.argsort(-p[candidates], kind="stable")[:L]]
-        assert scorer.top_l(p, 0, L) == [(int(a), float(p[a])) for a in best]
+        masked = np.where(collected, COLLECTED, p)  # as channel_scores writes it
+        assert self.top_l(masked, L) == [(int(a), float(p[a])) for a in best]
 
 
 class TestProperties:
@@ -119,7 +113,7 @@ class TestProperties:
         scorer = Scorer(f2_dataset, "diffusion")
         p_obj, p_tag = (p[0] for p in scorer.channel_scores([v]))
         fused = scorer.combine(p_obj, p_tag, 1.0)
-        assert scorer.top_l(fused, v, 3) == scorer.top_l(p_obj, v, 3)
+        assert scorer.top_l(fused, 3) == scorer.top_l(p_obj, 3)
         assert np.array_equal(fused, p_obj)
 
 
@@ -143,7 +137,7 @@ class TestListsMatchEvaluation:
                 for g, lam in enumerate(grid):
                     p = scorer.combine(p_obj, p_tag, lam)
                     for j, L in enumerate((5, 10)):
-                        listed = alpha in [obj for obj, _ in scorer.top_l(p, v, L)]
+                        listed = alpha in [obj for obj, _ in scorer.top_l(p, L)]
                         assert hits[g, j] == int(listed)
                         listed_hits += listed
         assert listed_hits > 0
@@ -152,7 +146,7 @@ class TestListsMatchEvaluation:
 def reference_similarity(graph, v, kind):
     """Similarities toward v from one user at a time: np.bincount over the
     user lists of v's right nodes, taken in ascending node order."""
-    alphas = graph.left_neighbors(v)
+    alphas = graph.indices[graph.indptr[v] : graph.indptr[v + 1]]
     kv = len(alphas)
     if kv == 0:
         return np.zeros(graph.left_count)
@@ -176,12 +170,18 @@ def reference_similarity(graph, v, kind):
 
 def reference_channel_scores(dataset, v, kind):
     """Object scores toward v per channel: v's own similarity zeroed, then
-    a sparse matrix-vector product with the user-object graph."""
+    a sparse matrix-vector product with the user-object graph, all >= 0;
+    then COLLECTED at v's collected objects."""
+    objects = dataset.user_object
+    collected = objects.indices[objects.indptr[v] : objects.indptr[v + 1]]
     scores = []
-    for graph in (dataset.user_object, dataset.user_tag):
+    for graph in (objects, dataset.user_tag):
         s = reference_similarity(graph, v, kind)
         s[v] = 0.0
-        scores.append(dataset.user_object.matrix.T @ s)
+        p = objects.matrix.T @ s
+        assert (p >= 0.0).all()
+        p[collected] = COLLECTED
+        scores.append(p)
     return scores
 
 

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from tridiff.core import build_graph
-from tridiff.recommend import Scorer
+from tridiff.recommend import COLLECTED, Scorer
 from tridiff.similarity import similarity_matrix
 
 from conftest import brute_diffusion_matrix, random_graph
@@ -102,7 +103,9 @@ class TestCosineJaccard:
         rng = np.random.default_rng(41)
         for _ in range(25):
             g = random_graph(rng)
-            neigh = [set(g.left_neighbors(u).tolist()) for u in range(g.left_count)]
+            neigh = [
+                set(g.indices[g.indptr[u] : g.indptr[u + 1]].tolist()) for u in range(g.left_count)
+            ]
             rows_c, rows_j = all_rows(g, "cosine"), all_rows(g, "jaccard")
             for v in range(g.left_count):
                 cos = rows_c[v]
@@ -137,15 +140,20 @@ class TestFuse:
 
     combine = staticmethod(Scorer.combine)
 
-    # the sweep's lambda = 1 and lambda = 0 cells are the single-channel results
-    OBJ = np.array([0.0, 0.25, 0.75, 0.0, 5e-324, 1e300, 0.1 + 0.2])
-    TAG = np.array([0.0, 0.5, 0.0, 0.5, 1e300, 5e-324, 0.3])
+    # the sweep's lambda = 1 and lambda = 0 cells are the single-channel
+    # results, bit for bit and without a warning, also at a collected object
+    OBJ = np.array([0.0, 0.25, 0.75, 0.0, 5e-324, 1e300, 0.1 + 0.2, COLLECTED])
+    TAG = np.array([0.0, 0.5, 0.0, 0.5, 1e300, 5e-324, 0.3, COLLECTED])
 
     def test_endpoint_object_only(self):
-        assert np.array_equal(self.combine(self.OBJ, self.TAG, 1.0), self.OBJ)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.combine(self.OBJ, self.TAG, 1.0).tobytes() == self.OBJ.tobytes()
 
     def test_endpoint_tag_only(self):
-        assert np.array_equal(self.combine(self.OBJ, self.TAG, 0.0), self.TAG)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.combine(self.OBJ, self.TAG, 0.0).tobytes() == self.TAG.tobytes()
 
     def test_arithmetic(self):
         fused = self.combine(np.array([0.0, 0.25, 0.0]), np.array([0.0, 0.5, 0.1]), 0.74)

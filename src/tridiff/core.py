@@ -88,12 +88,6 @@ class EntityIndexMap:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __eq__(self, other: object) -> bool:
-        # exact: no map holds an id ending in NUL, the one case numpy's == blurs
-        if not isinstance(other, EntityIndexMap):
-            return NotImplemented
-        return np.array_equal(self.ids, other.ids)
-
     def index_of(self, external_id: str) -> int:
         """The index of the id equal to external_id; raises KeyError if none is."""
         hits = np.flatnonzero(self.ids == external_id)

@@ -146,24 +146,25 @@ def evaluate_split(
     """Ranking score, Recall@L and Precision@L of one split at every lambda,
     as a (lambda x metric) array in metric_names order.
 
-    Each distinct test pair counts once. Raises ValueError for a lambda
-    outside [0, 1], before any worker starts, and UndefinedMetricError when
-    the split has no test pair. A large split's blocks of test users are
-    scored by one forked worker process per CPU of the affinity mask; their
-    rank totals are added one user at a time in ascending order (an
-    accumulate along the users axis), so every float equals a serial loop's.
+    Each edge of the test graph is one test pair, taken by user, then
+    object. Raises ValueError for a lambda outside [0, 1], before any worker
+    starts, and UndefinedMetricError when the split has no test pair. A
+    large split's blocks of test users are scored by one forked worker
+    process per CPU of the affinity mask; their rank totals are added one
+    user at a time in ascending order (an accumulate along the users axis),
+    so every float equals a serial loop's.
     """
     grid = LambdaGrid(lambda_grid, list_lengths)
-    pairs = np.unique(evaluation_split.test_edges, axis=0)  # by user, then object
-    n_p = len(pairs)
+    test = evaluation_split.test
+    n_p = test.edge_count
     if n_p == 0:
         raise UndefinedMetricError("metrics are undefined for an empty test set")
 
     training = evaluation_split.training
     m = training.user_object.left_count
     scorer = Scorer(training, kind)
-    users, starts = np.unique(pairs[:, 0], return_index=True)
-    test_objects = np.split(pairs[:, 1], starts[1:])
+    users = np.flatnonzero(test.left_degrees)
+    test_objects = np.split(test.indices, test.indptr[users[1:]])
     state = (scorer, users, test_objects, grid)
     totals, hits = zip(*_scored_blocks(state, len(users)))
     rank_sums = np.cumsum(np.concatenate(totals), axis=0)[-1]

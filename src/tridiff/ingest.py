@@ -4,18 +4,19 @@ The raw logs are plain delimited text (tab, "::" or comma, auto-detected
 from the first line that holds one). Core filtering keeps only objects and
 tags with at least two distinct users, and users with at least one surviving
 object AND one surviving tag, iterating to a fixed point. Splitting
-partitions user-object edges only; all user-tag edges stay in training.
+partitions user-object edges only, into a training graph and a test graph
+over the same users and objects; all user-tag edges stay in training.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
 
-from .core import EntityIndexMap, TripartiteDataset, build_graph
+from .core import BipartiteGraph, EntityIndexMap, TripartiteDataset, build_graph
 
 
 @dataclass(frozen=True)
@@ -46,10 +47,11 @@ class RawRecords:
 
 @dataclass(frozen=True)
 class EvaluationSplit:
-    """Training dataset plus the held-out user-object edges, an (E, 2) array."""
+    """Training dataset plus the held-out user-object edges, a graph over
+    the training set's users and objects."""
 
     training: TripartiteDataset
-    test_edges: np.ndarray
+    test: BipartiteGraph
 
 
 def _is_number(token: str) -> bool:
@@ -218,8 +220,9 @@ def split(dataset: TripartiteDataset, train_fraction: float, seed: int) -> Evalu
     """Seeded random partition of user-object edges into train and test.
 
     round(train_fraction * edge_count) edges go to training; the rest are
-    held out. User-tag edges all stay in training. Index maps are kept in
-    full, so users/objects may have zero training degree.
+    held out. Both are graphs over the dataset's users and objects, so
+    users/objects may have zero training degree. User-tag edges all stay in
+    training.
     """
     if not 0.0 < train_fraction <= 1.0:
         raise ValueError(f"train_fraction must lie in (0, 1], got {train_fraction}")
@@ -228,18 +231,8 @@ def split(dataset: TripartiteDataset, train_fraction: float, seed: int) -> Evalu
 
     edges = dataset.user_object.edge_array()
     n_train = round(train_fraction * len(edges))
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(edges))
-    train_edges = edges[perm[:n_train]]
-    test_edges = edges[np.sort(perm[n_train:])]
-
-    training = TripartiteDataset(
-        users=dataset.users,
-        objects=dataset.objects,
-        tags=dataset.tags,
-        user_object=build_graph(
-            train_edges, dataset.user_object.left_count, dataset.user_object.right_count
-        ),
-        user_tag=dataset.user_tag,
-    )
-    return EvaluationSplit(training=training, test_edges=test_edges)
+    perm = np.random.default_rng(seed).permutation(len(edges))
+    m, n = len(dataset.users), len(dataset.objects)
+    train = build_graph(edges[perm[:n_train]], m, n)
+    test = build_graph(edges[perm[n_train:]], m, n)
+    return EvaluationSplit(training=replace(dataset, user_object=train), test=test)

@@ -11,6 +11,7 @@ from tridiff.core import (
     TripartiteDataset,
     build_graph,
 )
+from tridiff.ingest import EvaluationSplit
 from tridiff.recommend import LambdaGrid
 
 # Fixture F1: users {u1,u2,u3}, objects {o1,o2};
@@ -31,6 +32,13 @@ def make_dataset(uo_edges, ut_edges, m, n, r) -> TripartiteDataset:
         user_object=build_graph(uo_edges, m, n),
         user_tag=build_graph(ut_edges, m, r),
     )
+
+
+def held_out(training: TripartiteDataset, pairs) -> EvaluationSplit:
+    """A split of training plus the held-out (user, object) pairs, as a
+    test graph over training's users and objects."""
+    graph = training.user_object
+    return EvaluationSplit(training, build_graph(pairs, graph.left_count, graph.right_count))
 
 
 @pytest.fixture

@@ -129,15 +129,14 @@ def test_metric_identity_synthetic():
 def test_ranks_example_third_of_hundred():
     with criterion("ranking example: unique third of 100 uncollected gives r = 0.03"):
         from tridiff.evaluation import evaluate_split
-        from tridiff.ingest import EvaluationSplit
-        from conftest import make_dataset
+        from conftest import held_out, make_dataset
 
         uo = [(0, 0)]
         uo += [(1, 0), (1, 1), (1, 2), (1, 3)]
         uo += [(2, 0), (2, 1), (2, 2)]
         uo += [(3, 0), (3, 1)]
         ds = make_dataset(uo, [(u, 0) for u in range(4)], 4, 101, 1)
-        split = EvaluationSplit(training=ds, test_edges=np.array([[0, 3]]))
+        split = held_out(ds, [(0, 3)])
         cells = evaluate_split(split, "diffusion", (1.0,), ())
         assert cells[0, 0] == 0.03  # lambda 1.0, rank score
 

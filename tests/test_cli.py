@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -554,3 +555,59 @@ def test_corrupt_snapshot_is_one_error_line(snapshot_dir, capsys, damage, comman
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def test_console_script_end_to_end(tmp_path):
+    # the CI workflow's console-script step, run as `python -m tridiff.cli`
+    # processes: ingest; sweeps through crossing points (an 11-point grid)
+    # and comparing fused scores (one lambda), whose lambda = 0.5 rows must
+    # be equal; top-L lists of two kinds; top-L lists at lambda = 0 and 1
+    # with warnings as errors (0 x a collected object's score must give no
+    # NaN); an unknown user; and a snapshot cut short by 100 bytes, each
+    # one error line and exit 1
+    (tmp_path / "objects.tsv").write_text(
+        "1\t101\t5\n1\t102\t4\n2\t101\t3\n2\t103\t4\n3\t102\t5\n3\t103\t2\n", encoding="utf-8"
+    )
+    (tmp_path / "tags.tsv").write_text(
+        "1\t101\tfunny\n2\t101\tfunny\n2\t103\tdark\n3\t103\tdark\n", encoding="utf-8"
+    )
+
+    def tridiff(*args, warnings=None):
+        env = {**os.environ, "PYTHONPATH": SRC}
+        if warnings is not None:
+            env["PYTHONWARNINGS"] = warnings
+        return subprocess.run(
+            [sys.executable, "-m", "tridiff.cli", *args],
+            cwd=tmp_path, capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def succeeds(*args, warnings=None):
+        done = tridiff(*args, warnings=warnings)
+        assert done.returncode == 0, done.stderr
+
+    succeeds("ingest", "--objects", "objects.tsv", "--tags", "tags.tsv", "--out", "run")
+    rows = []
+    for grid in (["--lambda-step", "0.1"], ["--lambda", "0.5"]):
+        succeeds("sweep", "--out", "run", "--runs", "1", *grid, "--train-frac", "0.5", "--L", "2")
+        lines = (tmp_path / "run" / "sweep_diffusion.csv").read_text(encoding="utf-8")
+        rows.append([line for line in lines.splitlines() if line.startswith("diffusion,0.5,")])
+    assert rows[0] and rows[0] == rows[1]
+    succeeds("recommend", "--out", "run", "--user", "1")
+    succeeds("recommend", "--out", "run", "--user", "1", "--similarity", "cosine")
+    succeeds("recommend", "--out", "run", "--user", "1", "--lambda", "0", warnings="error")
+    succeeds("recommend", "--out", "run", "--user", "1", "--lambda", "1", warnings="error")
+
+    done = tridiff("recommend", "--out", "run", "--user", "nosuchuser")
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: unknown user id")
+
+    snapshot = tmp_path / "run" / SNAPSHOT_NAME
+    (tmp_path / "cut.bin").write_bytes(snapshot.read_bytes()[:-100])
+    os.replace(tmp_path / "cut.bin", snapshot)
+    done = tridiff("recommend", "--out", "run", "--user", "1")
+    assert done.returncode == 1
+    assert done.stderr.count("\n") == 1
+    assert done.stderr.startswith("error: cannot read snapshot")

@@ -124,11 +124,14 @@ class TestEntityIndexMap:
         with pytest.raises(IndexMapError, match="1-D str array"):
             EntityIndexMap(ids)
 
-    def test_equality_compares_ids(self):
-        assert EntityIndexMap(["a", "bb"]) == EntityIndexMap(np.array(["a", "bb"], dtype="U5"))
-        assert EntityIndexMap(["a", "bb"]) != EntityIndexMap(["bb", "a"])
-        assert EntityIndexMap(["a"]) != EntityIndexMap(["a", "b"])
-        assert EntityIndexMap([]) == EntityIndexMap(np.array([], dtype=str))
+    def test_ids_from_strs_or_array_agree(self):
+        def ids(source):
+            return EntityIndexMap(source).ids.tolist()
+
+        assert ids(["a", "bb"]) == ids(np.array(["a", "bb"], dtype="U5"))
+        assert ids(["a", "bb"]) != ids(["bb", "a"])
+        assert ids(["a"]) != ids(["a", "b"])
+        assert ids([]) == ids(np.array([], dtype=str))
 
 
 class TestBuildGraph:

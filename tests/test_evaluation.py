@@ -21,14 +21,14 @@ from tridiff.evaluation import (
     lambda_grid,
     run_sweep,
 )
-from tridiff.ingest import EvaluationSplit, split
+from tridiff.ingest import split
 from tridiff.recommend import COLLECTED, LambdaGrid, Scorer
 from tridiff.snapshot import save_dataset
 
-from conftest import make_dataset, random_tripartite, stats_of_one
+from conftest import held_out, make_dataset, random_tripartite, stats_of_one
 
 
-def rank_third_setup(n=101, test_edges=((0, 3),)):
+def rank_third_setup(n=101, test_pairs=((0, 3),)):
     """Target u0 with n - 1 uncollected objects; objects 1, 2 and 3 are
     scored uniquely first, second and third, and 3 is held out."""
     uo = [(0, 0)]
@@ -36,8 +36,7 @@ def rank_third_setup(n=101, test_edges=((0, 3),)):
     uo += [(2, 0), (2, 1), (2, 2)]
     uo += [(3, 0), (3, 1)]
     ds = make_dataset(uo, [(u, 0) for u in range(4)], 4, n, 1)
-    test_edges = np.array(test_edges, dtype=np.int64).reshape(-1, 2)
-    return ds, EvaluationSplit(training=ds, test_edges=test_edges)
+    return ds, held_out(ds, test_pairs)
 
 
 def object_channel_cell(split, L=()):
@@ -54,14 +53,14 @@ class TestRankOfTestPairs:
     def test_unique_top_of_ten(self):
         uo = [(0, 0), (1, 0), (1, 1)]
         ds = make_dataset(uo, [(0, 0), (1, 0)], 2, 11, 1)
-        split = EvaluationSplit(training=ds, test_edges=np.array([[0, 1]]))
+        split = held_out(ds, [(0, 1)])
         assert object_channel_cell(split)["rank_score"] == 0.1
 
     def test_zero_score_block_midrank(self):
         # target has no training edges at all: every uncollected object ties
         # at score zero and gets the midrank 5.5 of 10
         ds = make_dataset([(1, 0)], [(1, 0)], 2, 10, 1)
-        split = EvaluationSplit(training=ds, test_edges=np.array([[0, 4]]))
+        split = held_out(ds, [(0, 4)])
         assert object_channel_cell(split)["rank_score"] == 0.55
 
     def test_midrank_equals_enumeration(self):
@@ -223,9 +222,9 @@ class TestSweepStats:
         )
         evaluation_split = split(dataset, 0.8, 1)
         scorer = Scorer(evaluation_split.training, "diffusion")
-        users, objects = np.unique(evaluation_split.test_edges, axis=0).T
-        block, first = np.unique(users, return_index=True)
-        tests = np.split(objects, first[1:])
+        test = evaluation_split.test
+        block = np.flatnonzero(test.left_degrees)
+        tests = np.split(test.indices, test.indptr[block[1:]])
         grid = LambdaGrid(lambdas, (5,))
         assert grid.crossing == (len(lambdas) > 1)
         p_obj, p_tag = scorer.channel_scores(block)
@@ -246,18 +245,20 @@ class TestRankingScore:
 
     def test_mean(self):
         # ranks 0.1 (object 1) and 0.3 (object 3) among 10 uncollected
-        _, split = rank_third_setup(n=11, test_edges=((0, 1), (0, 3)))
+        _, split = rank_third_setup(n=11, test_pairs=((0, 1), (0, 3)))
         assert object_channel_cell(split)["rank_score"] == pytest.approx(0.2, abs=1e-15)
 
-    @pytest.mark.parametrize("test_edges", [((0, 3), (0, 1)), ((0, 3), (0, 1), (0, 3))])
-    def test_row_order_and_repeats_ignored(self, test_edges):
-        # each distinct pair counts once, summed in (user, object) order
-        _, expected = rank_third_setup(n=11, test_edges=((0, 1), (0, 3)))
-        _, split = rank_third_setup(n=11, test_edges=test_edges)
+    @pytest.mark.parametrize(
+        "test_pairs", [((0, 3), (0, 1)), ((0, 3), (0, 1), (0, 3))], ids=["reordered", "repeated"]
+    )
+    def test_row_order_and_repeats_ignored(self, test_pairs):
+        # the test graph holds each distinct pair once, in (user, object) order
+        _, expected = rank_third_setup(n=11, test_pairs=((0, 1), (0, 3)))
+        _, split = rank_third_setup(n=11, test_pairs=test_pairs)
         assert object_channel_cell(split) == object_channel_cell(expected)
 
     def test_empty_raises(self):
-        _, split = rank_third_setup(test_edges=())
+        _, split = rank_third_setup(test_pairs=())
         with pytest.raises(UndefinedMetricError):
             object_channel_cell(split)
 
@@ -272,7 +273,7 @@ class TestRecallPrecision:
 
     def test_no_hits(self):
         ds, _ = rank_third_setup()
-        split = EvaluationSplit(training=ds, test_edges=np.array([[0, 50]]))
+        split = held_out(ds, [(0, 50)])
         cell = object_channel_cell(split, L=(10,))
         r, p = cell["recall@10"], cell["precision@10"]
         assert r == 0.0 and p == 0.0
@@ -280,13 +281,13 @@ class TestRecallPrecision:
     def test_zero_score_object_never_hit(self):
         # the held-out object ties at zero: even L > n must not count it
         ds = make_dataset([(1, 0)], [(1, 0)], 2, 10, 1)
-        split = EvaluationSplit(training=ds, test_edges=np.array([[0, 4]]))
+        split = held_out(ds, [(0, 4)])
         r = object_channel_cell(split, L=(10,))["recall@10"]
         assert r == 0.0
 
     def test_empty_test_set_raises(self):
         ds, _ = rank_third_setup()
-        split = EvaluationSplit(training=ds, test_edges=np.empty((0, 2), np.int64))
+        split = held_out(ds, np.empty((0, 2), np.int64))
         with pytest.raises(UndefinedMetricError):
             object_channel_cell(split, L=(10,))
 
@@ -404,7 +405,7 @@ class TestRunExperiment:
     def test_np_matches_rounding_rule(self, dataset):
         e = dataset.user_object.edge_count
         for seed in (7, 8):  # the two runs of self.cfg()
-            pairs = np.unique(split(dataset, 0.9, seed).test_edges, axis=0)
+            pairs = split(dataset, 0.9, seed).test.edge_array()
             assert len(pairs) == e - round(0.9 * e)
 
     def test_determinism(self, dataset):
@@ -425,6 +426,28 @@ class TestRunExperiment:
         with mock.patch("tridiff.evaluation.split", side_effect=AssertionError("split")):
             with pytest.raises(UndefinedMetricError, match="holds out none"):
                 self.report(dataset, train_fraction=1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 5),
+        st.integers(1, 6),
+        st.sets(st.tuples(st.integers(0, 4), st.integers(0, 5)), max_size=14),
+        st.floats(0.0, 1.0, exclude_min=True) | st.integers(1, 24).map(lambda k: k / 24),
+        st.integers(0, 3),
+    )
+    def test_refused_exactly_when_split_holds_out_nothing(self, m, n, pairs, fraction, seed):
+        # run_sweep's precheck and split both hold out
+        # edges - round(train_fraction * edges) user-object edges
+        pairs = [(u % m, o % n) for u, o in pairs]
+        dataset = make_dataset(pairs, [(u, 0) for u in range(m)], m, n, 1)
+        config = self.cfg(lambda_grid=(0.5,), runs=1, train_fraction=fraction, base_seed=seed)
+        holds_out_none = split(dataset, fraction, seed).test.edge_count == 0
+        try:
+            run_sweep(dataset, config)
+            refused = False
+        except UndefinedMetricError:
+            refused = True
+        assert refused == holds_out_none
 
     def test_empty_dataset_rejected(self):
         empty = make_dataset([], [], 0, 0, 0)
@@ -531,7 +554,7 @@ class TestWorkerPool:
     def test_cells_equal_inline(self, evaluation_split, kind, grid, block_users):
         # small blocks give each of the three workers more than one map chunk,
         # finished in any order; blocks of 3 leave a partial last block
-        n_users = len(np.unique(evaluation_split.test_edges[:, 0]))
+        n_users = np.count_nonzero(evaluation_split.test.left_degrees)
         assert n_users == 28
         assert (n_users % block_users != 0) == (block_users == 3)
         with mock.patch.object(evaluation, "BLOCK_USERS", block_users):

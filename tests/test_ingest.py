@@ -436,7 +436,7 @@ class TestParse:
         got = parse(object_lines, tag_lines, rating_threshold=threshold)
         want = reference_line_parse(object_lines, tag_lines, rating_threshold=threshold)
         for name in ("users", "objects", "tags"):
-            assert getattr(got, name) == getattr(want, name)
+            assert getattr(got, name).ids.tolist() == getattr(want, name).ids.tolist()
         assert np.array_equal(got.object_events, want.object_events)
         assert np.array_equal(got.tag_events, want.tag_events)
         assert got.errors == want.errors
@@ -552,17 +552,17 @@ class TestSplit:
 
     def test_degenerate_full_training(self, dataset):
         sp = split(dataset, 1.0, seed=3)
-        assert len(sp.test_edges) == 0
+        assert sp.test.edge_count == 0
         assert edge_list(sp.training.user_object) == edge_list(dataset.user_object)
 
     def test_partition_and_determinism(self, dataset):
         sp1 = split(dataset, 0.9, seed=11)
         sp2 = split(dataset, 0.9, seed=11)
-        assert np.array_equal(sp1.test_edges, sp2.test_edges)
+        assert edge_list(sp1.test) == edge_list(sp2.test)
         assert edge_list(sp1.training.user_object) == edge_list(sp2.training.user_object)
-        assert sp1.test_edges.tolist() == sorted(sp1.test_edges.tolist())
+        assert edge_list(sp1.test) == sorted(edge_list(sp1.test))
         train = pair_set(sp1.training.user_object.edge_array())
-        test = pair_set(sp1.test_edges)
+        test = pair_set(sp1.test.edge_array())
         assert train | test == pair_set(dataset.user_object.edge_array())
         assert train & test == set()
         assert len(train) == round(0.9 * dataset.user_object.edge_count)
@@ -575,11 +575,11 @@ class TestSplit:
         ds = core_filter(recs)
         assert ds.user_object.edge_count == 10
         sp = split(ds, 0.9, seed=0)
-        assert len(sp.test_edges) == 1
+        assert sp.test.edge_count == 1
         assert sp.training.user_object.edge_count == 9
 
     def test_different_seed_differs(self, dataset):
-        outcomes = {split(dataset, 0.8, seed=s).test_edges.tobytes() for s in range(10)}
+        outcomes = {split(dataset, 0.8, seed=s).test.edge_array().tobytes() for s in range(10)}
         assert len(outcomes) > 1
 
     def test_user_tag_untouched(self, dataset):
@@ -600,4 +600,15 @@ class TestSplit:
         e = dataset.user_object.edge_count
         for frac in (0.9, 0.5, 0.37):
             sp = split(dataset, frac, seed=1)
-            assert len(sp.test_edges) == e - round(frac * e)
+            assert sp.test.edge_count == e - round(frac * e)
+
+    @pytest.mark.parametrize("frac", [1.0, 0.9, 0.5, 0.37, 0.01])
+    def test_two_graphs_partition_the_edges(self, dataset, frac):
+        graph = dataset.user_object
+        sp = split(dataset, frac, seed=4)
+        for part in (sp.training.user_object, sp.test):
+            assert (part.left_count, part.right_count) == (graph.left_count, graph.right_count)
+        train = pair_set(sp.training.user_object.edge_array())
+        test = pair_set(sp.test.edge_array())
+        assert train & test == set()
+        assert train | test == pair_set(graph.edge_array())

@@ -131,7 +131,7 @@ class TestListsMatchEvaluation:
         listed_hits = 0
         # a short grid compares fused scores directly, a long one uses crossing points
         for grid in ((0.0, 0.5, 1.0), lambda_grid(0.0, 1.0, 0.05)):
-            for v, alpha in evaluation_split.test_edges.tolist():
+            for v, alpha in evaluation_split.test.edge_array().tolist():
                 p_obj, p_tag = (p[0] for p in scorer.channel_scores([v]))
                 _, hits = stats_of_one(scorer, p_obj, p_tag, v, [alpha], grid, (5, 10))
                 for g, lam in enumerate(grid):

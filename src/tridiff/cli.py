@@ -6,6 +6,7 @@ Diagnostics go to stderr, data to stdout and files.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -30,6 +31,7 @@ def _parse_int_list(value: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad integer list {value!r}") from exc
 
 
+@functools.cache  # one per process; its defaults are tuples, which no call can change
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tridiff",
@@ -45,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run the lambda sweep on a snapshot")
     p_sweep.add_argument("--out", required=True, help="snapshot/report directory")
-    p_sweep.add_argument("--similarity", type=_parse_kinds, default=["diffusion"])
+    p_sweep.add_argument("--similarity", type=_parse_kinds, default=("diffusion",))
     p_sweep.add_argument("--lambda-min", type=float, default=0.0)
     p_sweep.add_argument("--lambda-max", type=float, default=1.0)
     p_sweep.add_argument("--lambda-step", type=float, default=0.02)
@@ -56,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--runs", type=int, default=5)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--train-frac", type=float, default=0.9)
-    p_sweep.add_argument("--L", type=_parse_int_list, default=[10, 20])
+    p_sweep.add_argument("--L", type=_parse_int_list, default=(10, 20))
 
     p_rec = sub.add_parser("recommend", help="print a top-L list for one user")
     p_rec.add_argument("--out", required=True, help="snapshot directory")

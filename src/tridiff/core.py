@@ -6,12 +6,17 @@ Adjacency is binary; duplicate input edges collapse to a single edge. A
 graph holds its canonical CSR arrays (indptr, indices) and is the one place
 that checks them. Neighbor lists (the CSR indices) are kept sorted, which
 fixes the order in which the similarity and scoring products sum their
-terms, and so their floats. The sparse-matrix library is imported only when
-a product first needs a matrix.
+terms, and so their floats. A graph runs its products (dot, tdot) on
+compiled sparse kernels that _sparsetools loads from their file.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -53,6 +58,38 @@ def _repeats_an_id(ids: np.ndarray) -> bool:
         return False
     strs = ids.tolist()
     return len(set(strs)) != len(strs)
+
+
+_KERNELS = "scipy.sparse._sparsetools"
+
+
+@functools.cache
+def _sparsetools():
+    """The module scipy.sparse._sparsetools, which is private to scipy: its
+    C loops csr_matvec, csr_matvecs, csc_matvec and csc_matvecs compute
+    scipy's sparse matrix products.
+
+    It is the imported module if there is one. Otherwise the file
+    scipy/sparse/_sparsetools<suffix> is loaded by path and registered under
+    that name, where an import of scipy.sparse later finds it. Finding the
+    package runs none of scipy's code; importing scipy.sparse takes a
+    recommend process about as long as everything else it does. Raises
+    ImportError naming the paths tried when no such file exists."""
+    if _KERNELS in sys.modules:
+        return sys.modules[_KERNELS]
+    package = importlib.util.find_spec("scipy")
+    if package is None:
+        raise ImportError("scipy is not installed")
+    base = os.path.join(package.submodule_search_locations[0], "sparse", "_sparsetools")
+    paths = [base + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((path for path in paths if os.path.isfile(path)), None)
+    if path is None:
+        raise ImportError(f"no sparse kernels: none of {', '.join(paths)} exists")
+    spec = importlib.util.spec_from_file_location(_KERNELS, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_KERNELS] = module
+    return module
 
 
 class EntityIndexMap:
@@ -140,15 +177,40 @@ class BipartiteGraph:
         return np.bincount(self.indices, minlength=self.right_count)
 
     @cached_property
-    def matrix(self):
-        """CSR matrix (left x right) over the graph's arrays, values all 1.0,
-        for the similarity and scoring products. Do not mutate."""
-        from scipy import sparse
+    def _ones(self) -> np.ndarray:
+        return np.ones(len(self.indices))
 
-        return sparse.csr_matrix(
-            (np.ones(len(self.indices)), self.indices, self.indptr),
-            shape=(self.left_count, self.right_count),
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """A @ x for the graph's (left x right) 0/1 matrix A and a float64 x of
+        shape (right_count,) or (right_count, k), with the csr kernels: each
+        entry sums over the row's right nodes in ascending order."""
+        return self._product("csr", self.left_count, self.right_count, x)
+
+    def tdot(self, x: np.ndarray) -> np.ndarray:
+        """A.T @ x for a float64 x of shape (left_count,) or (left_count, k),
+        with the csc kernels over the same arrays: each entry sums over the
+        right node's users in ascending order."""
+        return self._product("csc", self.right_count, self.left_count, x)
+
+    def _product(self, layout: str, rows: int, cols: int, x: np.ndarray) -> np.ndarray:
+        """The product of x with the (rows x cols) matrix that indptr and
+        indices hold in layout. A vector or one column goes to the _matvec
+        kernel, k != 1 columns in C order to _matvecs, as a sparse matrix's
+        @ dispatches them; the kernels read x unchecked."""
+        if x.ndim not in (1, 2) or x.shape[0] != cols:
+            raise ValueError(f"cannot multiply a ({rows}, {cols}) matrix by shape {x.shape}")
+        kernels = _sparsetools()
+        if x.ndim == 1 or x.shape[1] == 1:
+            out = np.zeros(rows)
+            matvec = getattr(kernels, layout + "_matvec")
+            matvec(rows, cols, self.indptr, self.indices, self._ones, x.ravel(), out)
+            return out.reshape(rows, *x.shape[1:])
+        out = np.zeros((rows, x.shape[1]))
+        matvecs = getattr(kernels, layout + "_matvecs")
+        matvecs(
+            rows, cols, x.shape[1], self.indptr, self.indices, self._ones, x.ravel(), out.ravel()
         )
+        return out
 
     def block_edges(self, lefts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """The edges of a block of left nodes as (row, right) arrays: row i

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import TripartiteDataset
+from .core import TripartiteDataset, _sparsetools
 from .similarity import similarity_matrix
 
 # A sweep with fewer distinct lambdas inside (0, 1) than this compares fused
@@ -75,7 +75,7 @@ class Scorer:
         self.dataset = dataset
         self.kind = kind
         self.n_objects = dataset.user_object.right_count
-        self._scatter = dataset.user_object.matrix.T  # CSC view, no copy
+        _sparsetools()  # loaded here, so that forked pool workers inherit it
 
     def channel_scores(self, users: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """Object scores toward each of users from the object and from the tag
@@ -89,7 +89,7 @@ class Scorer:
         for graph in (self.dataset.user_object, self.dataset.user_tag):
             s = similarity_matrix(graph, users, self.kind).T  # (m, len(users)), C-ordered
             s[users, np.arange(len(users))] = 0.0
-            p = np.ascontiguousarray((self._scatter @ s).T)
+            p = np.ascontiguousarray(self.dataset.user_object.tdot(s).T)
             p[collected] = COLLECTED
             scores.append(p)
         return scores[0], scores[1]

@@ -34,7 +34,7 @@ def similarity_matrix(graph: BipartiteGraph, users: Sequence[int], kind: str) ->
     """Dense (len(users), left_count) array whose row i holds every user's
     similarity toward users[i]; rows of a target without edges are zero.
 
-    It is (graph.matrix @ x).T, where column i of the dense x holds users[i]'s
+    It is graph.dot(x).T, where column i of the dense x holds users[i]'s
     edge weights (1 / (k_v * k_alpha) for diffusion, 1.0 for the overlap
     counts) and 0.0 off its right nodes. The product sums each entry over the
     user's sorted right nodes; the zeros add +0.0, so it is the sum over the
@@ -49,9 +49,9 @@ def similarity_matrix(graph: BipartiteGraph, users: Sequence[int], kind: str) ->
     x = np.zeros((graph.right_count, len(users)))
     if kind == DIFFUSION:
         x[right, owner] = 1.0 / (k_v.astype(np.int64)[owner] * graph.right_degrees[right])
-        return (graph.matrix @ x).T
+        return graph.dot(x).T
     x[right, owner] = 1.0
-    s = graph.matrix @ x
+    s = graph.dot(x)
     deg, k_v = np.maximum(graph.left_degrees, 1)[:, None], np.maximum(k_v, 1)
     s /= np.sqrt(deg * k_v.astype(np.float64)) if kind == COSINE else deg + k_v - s
     return s.T

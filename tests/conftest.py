@@ -3,6 +3,7 @@ import zlib
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from tridiff import snapshot
 from tridiff.core import (
@@ -61,6 +62,15 @@ def random_graph(rng: np.random.Generator, max_left=50, max_right=50) -> Biparti
     mask = rng.random((m, n)) < density
     left, right = np.nonzero(mask)
     return build_graph(list(zip(left.tolist(), right.tolist())), m, n)
+
+
+def scipy_matrix(graph: BipartiteGraph) -> sparse.csr_matrix:
+    """scipy's CSR matrix over the graph's own indptr and indices, values 1.0:
+    a reference for the graph's products and its transpose."""
+    return sparse.csr_matrix(
+        (np.ones(graph.edge_count), graph.indices, graph.indptr),
+        shape=(graph.left_count, graph.right_count),
+    )
 
 
 def dense_adjacency(graph: BipartiteGraph) -> np.ndarray:

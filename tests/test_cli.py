@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import shutil
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tridiff.cli import main
+from tridiff.cli import build_parser, main
 from tridiff.snapshot import SNAPSHOT_NAME, save_dataset
 
 from conftest import frame_snapshot, make_dataset, rewrite_snapshot
@@ -164,22 +165,28 @@ class TestIngest:
         assert done.stdout == ""
 
     def test_ingest_process_imports_no_scipy(self, data_files, tmp_path):
-        # only the similarity and scoring products need scipy
+        # ingest needs no scipy; recommend and sweep load only its compiled
+        # sparse kernels, by path, and import no module of scipy
         objects, tags = data_files
-        argv = ["ingest", "--objects", str(objects), "--tags", str(tags),
-                "--out", str(tmp_path / "out")]
-        code = (
+        out = str(tmp_path / "out")
+        ingest = ["ingest", "--objects", str(objects), "--tags", str(tags), "--out", out]
+        recommend = ["recommend", "--out", out, "--user", "1"]
+        sweep = ["sweep", "--out", out, "--runs", "1", "--lambda-step", "0.5", "--L", "2"]
+        done = python_process(
             "import sys\n"
             "from tridiff.cli import main\n"
-            f"assert main({argv!r}) == 0\n"
-            "assert 'scipy' not in sys.modules, [m for m in sys.modules if 'scipy' in m]\n"
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            "def scipy_modules():\n"
+            "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            f"assert main({ingest!r}) == 0\n"
+            "assert scipy_modules() == [], scipy_modules()\n"
+            f"assert main({recommend!r}) == 0\n"
+            "assert scipy_modules() == ['scipy.sparse._sparsetools'], scipy_modules()\n"
+            f"assert main({sweep!r}) == 0\n"
+            "assert scipy_modules() == ['scipy.sparse._sparsetools'], scipy_modules()\n"
         )
         assert done.returncode == 0, done.stderr
         assert (tmp_path / "out" / SNAPSHOT_NAME).is_file()
+        assert (tmp_path / "out" / "sweep_diffusion.csv").is_file()
 
     def test_nan_rating_threshold_exit_2(self, data_files, tmp_path, capsys):
         objects, tags = data_files
@@ -560,14 +567,92 @@ def test_corrupt_snapshot_is_one_error_line(snapshot_dir, capsys, damage, comman
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
+def python_process(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh Python process that imports tridiff from src/."""
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": SRC}, timeout=120,
+    )
+
+
+class TestSparseKernels:
+    """core._sparsetools loads scipy's kernel module by path; scipy.sparse,
+    imported before or after it, holds the same module. (The attribute
+    scipy.sparse._sparsetools is hidden by scipy's lazy __getattr__ in
+    both orders, so the tests read the one scipy's products use.)"""
+
+    def test_loaded_before_scipy_sparse(self):
+        done = python_process(
+            "import numpy as np\n"
+            "from tridiff import core\n"
+            "kernels = core._sparsetools()\n"
+            "import scipy.sparse\n"
+            "from scipy.sparse import _compressed\n"
+            "assert _compressed._sparsetools is kernels\n"
+            "a = scipy.sparse.csr_matrix(np.array([[1.0, 0.0], [2.0, 3.0]]))\n"
+            "assert (a @ np.array([1.0, 1.0])).tolist() == [1.0, 5.0]\n"
+            "assert (a.T @ np.ones((2, 2))).tolist() == [[3.0, 3.0], [3.0, 3.0]]\n"
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_loaded_after_scipy_sparse(self):
+        done = python_process(
+            "import scipy.sparse\n"
+            "from scipy.sparse import _compressed\n"
+            "from tridiff import core\n"
+            "assert core._sparsetools() is _compressed._sparsetools\n"
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_missing_file_names_its_path(self):
+        done = python_process(
+            "import importlib.machinery, sys\n"
+            "from tridiff import core\n"
+            "importlib.machinery.EXTENSION_SUFFIXES[:] = ['.missing']\n"
+            "try:\n"
+            "    core._sparsetools()\n"
+            "except ImportError as exc:\n"
+            "    print(exc)\n"
+            "else:\n"
+            "    sys.exit('no ImportError')\n"
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        )
+        assert done.returncode == 0, done.stderr
+        package = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        assert os.path.join(package, "sparse", "_sparsetools.missing") in done.stdout
+
+
+def test_one_parser_shares_no_state(snapshot_dir, tmp_path, capsys):
+    # the parser is built once per process: a call's flags must not become
+    # a later call's defaults
+    assert build_parser() is build_parser()
+    fresh = tmp_path / "fresh"
+    shutil.copytree(snapshot_dir, fresh)
+    sweep = ["sweep", "--runs", "1", "--lambda-step", "0.25"]
+    assert main([*sweep, "--out", str(snapshot_dir), "--L", "5", "--similarity", "cosine"]) == 0
+    assert main([*sweep, "--out", str(snapshot_dir)]) == 0
+    done = subprocess.run(
+        [sys.executable, "-m", "tridiff.cli", *sweep, "--out", str(fresh)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    written = (snapshot_dir / "sweep_diffusion.csv").read_bytes()
+    assert written == (fresh / "sweep_diffusion.csv").read_bytes()
+    assert b"recall@10,recall@20" in written
+    capsys.readouterr()
+    assert main(["recommend", "--out", str(snapshot_dir), "--user", "1", "--lambda", "2"]) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
 def test_console_script_end_to_end(tmp_path):
     # the CI workflow's console-script step, run as `python -m tridiff.cli`
     # processes: ingest; sweeps through crossing points (an 11-point grid)
     # and comparing fused scores (one lambda), whose lambda = 0.5 rows must
     # be equal; top-L lists of two kinds; top-L lists at lambda = 0 and 1
     # with warnings as errors (0 x a collected object's score must give no
-    # NaN); an unknown user; and a snapshot cut short by 100 bytes, each
-    # one error line and exit 1
+    # NaN); a top-L list whose import log names no scipy module; an unknown
+    # user; and a snapshot cut short by 100 bytes, each one error line and
+    # exit 1
     (tmp_path / "objects.tsv").write_text(
         "1\t101\t5\n1\t102\t4\n2\t101\t3\n2\t103\t4\n3\t102\t5\n3\t103\t2\n", encoding="utf-8"
     )
@@ -575,18 +660,16 @@ def test_console_script_end_to_end(tmp_path):
         "1\t101\tfunny\n2\t101\tfunny\n2\t103\tdark\n3\t103\tdark\n", encoding="utf-8"
     )
 
-    def tridiff(*args, warnings=None):
-        env = {**os.environ, "PYTHONPATH": SRC}
-        if warnings is not None:
-            env["PYTHONWARNINGS"] = warnings
+    def tridiff(*args, **env):
         return subprocess.run(
-            [sys.executable, "-m", "tridiff.cli", *args],
-            cwd=tmp_path, capture_output=True, text=True, env=env, timeout=120,
+            [sys.executable, "-m", "tridiff.cli", *args], cwd=tmp_path, capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": SRC, **env}, timeout=120,
         )
 
-    def succeeds(*args, warnings=None):
-        done = tridiff(*args, warnings=warnings)
+    def succeeds(*args, **env):
+        done = tridiff(*args, **env)
         assert done.returncode == 0, done.stderr
+        return done
 
     succeeds("ingest", "--objects", "objects.tsv", "--tags", "tags.tsv", "--out", "run")
     rows = []
@@ -597,8 +680,10 @@ def test_console_script_end_to_end(tmp_path):
     assert rows[0] and rows[0] == rows[1]
     succeeds("recommend", "--out", "run", "--user", "1")
     succeeds("recommend", "--out", "run", "--user", "1", "--similarity", "cosine")
-    succeeds("recommend", "--out", "run", "--user", "1", "--lambda", "0", warnings="error")
-    succeeds("recommend", "--out", "run", "--user", "1", "--lambda", "1", warnings="error")
+    succeeds("recommend", "--out", "run", "--user", "1", "--lambda", "0", PYTHONWARNINGS="error")
+    succeeds("recommend", "--out", "run", "--user", "1", "--lambda", "1", PYTHONWARNINGS="error")
+    imports = succeeds("recommend", "--out", "run", "--user", "1", PYTHONPROFILEIMPORTTIME="1")
+    assert "import time:" in imports.stderr and "scipy" not in imports.stderr
 
     done = tridiff("recommend", "--out", "run", "--user", "nosuchuser")
     assert done.returncode == 1

@@ -16,7 +16,9 @@ from tridiff.core import (
     build_graph,
 )
 
-from conftest import F1_EDGES, make_dataset
+from tridiff.recommend import Scorer
+
+from conftest import F1_EDGES, make_dataset, scipy_matrix
 
 
 def edge_lists(max_left=20, max_right=20):
@@ -201,8 +203,8 @@ class TestBipartiteGraphChecks:
     )
     def test_refuses_non_canonical_csr(self, indptr, indices, reason):
         good = BipartiteGraph(np.array(GOOD_INDPTR), np.array(GOOD_INDICES), 3)
-        assert good.matrix.data.tolist() == [1.0, 1.0, 1.0]
-        assert good.matrix.toarray().tolist() == [[1, 0, 1], [0, 0, 0], [0, 1, 0]]
+        assert scipy_matrix(good).data.tolist() == [1.0, 1.0, 1.0]
+        assert scipy_matrix(good).toarray().tolist() == [[1, 0, 1], [0, 0, 0], [0, 1, 0]]
         with pytest.raises(GraphConstructionError, match=re.escape(reason)):
             BipartiteGraph(np.asarray(indptr), np.asarray(indices), 3)
 
@@ -257,7 +259,7 @@ class TestGraphInvariants:
             (u, int(x)) for u in range(m)
             for x in g.indices[g.indptr[u] : g.indptr[u + 1]]
         }
-        by_right = g.matrix.T.tocsr()
+        by_right = scipy_matrix(g).T.tocsr()
         assert np.array_equal(g.right_degrees, np.diff(by_right.indptr))
         from_right = {
             (int(u), x)
@@ -297,6 +299,72 @@ class TestGraphInvariants:
         neighbors = [g.indices[g.indptr[u] : g.indptr[u + 1]].tolist() for u in lefts]
         assert rows.tolist() == [i for i, neigh in enumerate(neighbors) for _ in neigh]
         assert right.tolist() == [x for neigh in neighbors for x in neigh]
+
+
+@st.composite
+def products(draw):
+    """A graph whose indptr and indices are int32 or int64 each, with rows
+    and columns of degree zero or no edges at all, whether its transpose
+    multiplies, and a float64 x: a vector, one column or k columns, held in
+    C order, as a transposed view or as a strided view."""
+    m, n = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    cells = draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n))
+    mask = np.array(cells, dtype=bool).reshape(m, n)
+    indptr = np.zeros(m + 1, dtype=draw(st.sampled_from([np.int32, np.int64])))
+    np.cumsum(mask.sum(axis=1), out=indptr[1:])
+    indices = np.nonzero(mask)[1].astype(draw(st.sampled_from([np.int32, np.int64])))
+    graph = BipartiteGraph(indptr, indices, n)
+    transposed = draw(st.booleans())
+    length = m if transposed else n
+    k = draw(st.sampled_from([None, 1, 2, 3, 5]))
+    shape = (length,) if k is None else (length, k)
+    layout = draw(st.sampled_from(["C", "transposed", "strided"]))
+    if layout == "transposed":
+        shape = shape[::-1]
+    elif layout == "strided":
+        shape = (2 * length, *shape[1:])
+    values = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 5e-324, 1e300])
+    count = int(np.prod(shape))
+    x = np.array(draw(st.lists(values, min_size=count, max_size=count))).reshape(shape)
+    return graph, transposed, {"C": x, "transposed": x.T, "strided": x[::2]}[layout]
+
+
+class TestProductsMatchScipy:
+    @settings(max_examples=300, deadline=None)
+    @given(products())
+    def test_same_bytes_as_scipy(self, case):
+        graph, transposed, x = case
+        got = graph.tdot(x) if transposed else graph.dot(x)
+        reference = scipy_matrix(graph)
+        expected = (reference.T if transposed else reference) @ x
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+    def test_one_column_takes_the_vector_kernel(self, monkeypatch, f1_dataset):
+        # _matvecs over a single column cost a recommend ~0.4 ms
+        kernels, calls = core._sparsetools(), []
+
+        class Spy:
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(kernels, name)
+
+        monkeypatch.setattr(core, "_sparsetools", Spy)
+        graph = f1_dataset.user_object
+        graph.dot(np.ones(2)), graph.dot(np.ones((2, 1))), graph.dot(np.ones((2, 3)))
+        graph.tdot(np.ones(3)), graph.tdot(np.ones((3, 1))), graph.tdot(np.ones((3, 2)))
+        assert calls == [
+            "csr_matvec", "csr_matvec", "csr_matvecs", "csc_matvec", "csc_matvec", "csc_matvecs"
+        ]
+        calls.clear()
+        Scorer(f1_dataset, "diffusion").channel_scores([0])
+        assert calls == ["csr_matvec", "csc_matvec"] * 2
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 2), (3, 1), (2, 2, 1), ()])
+    def test_shape_mismatch_raises(self, f1_graph, shape):
+        # the kernels read x unchecked
+        with pytest.raises(ValueError, match="cannot multiply"):
+            f1_graph.dot(np.ones(shape))
 
 
 class TestTripartiteDataset:

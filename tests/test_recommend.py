@@ -12,7 +12,7 @@ from tridiff.ingest import split
 from tridiff.recommend import COLLECTED, Scorer
 from tridiff.similarity import KINDS, similarity_matrix
 
-from conftest import make_dataset, random_tripartite, stats_of_one
+from conftest import make_dataset, random_tripartite, scipy_matrix, stats_of_one
 
 
 def scores(dataset, target, sims):
@@ -151,7 +151,7 @@ def reference_similarity(graph, v, kind):
     if kv == 0:
         return np.zeros(graph.left_count)
     right_deg = graph.right_degrees[alphas]
-    by_right = graph.matrix.T.tocsr()
+    by_right = scipy_matrix(graph).T.tocsr()
     users = np.concatenate(
         [by_right.indices[by_right.indptr[a] : by_right.indptr[a + 1]] for a in alphas]
     )
@@ -178,7 +178,7 @@ def reference_channel_scores(dataset, v, kind):
     for graph in (objects, dataset.user_tag):
         s = reference_similarity(graph, v, kind)
         s[v] = 0.0
-        p = objects.matrix.T @ s
+        p = scipy_matrix(objects).T @ s
         assert (p >= 0.0).all()
         p[collected] = COLLECTED
         scores.append(p)
@@ -220,7 +220,7 @@ class TestUsersWithoutEdges:
             warnings.simplefilter("error")
             for graph in (dataset.user_object, dataset.user_tag):
                 s = similarity_matrix(graph, block, kind)
-                a = graph.matrix.toarray()
+                a = scipy_matrix(graph).toarray()
                 overlap = a[block] @ a.T
                 assert np.isfinite(s).all()
                 assert not s[overlap == 0].any() and (s[overlap > 0] > 0).all()

@@ -139,7 +139,6 @@ def _report_files(report: MetricsReport, kind: str, out: Path) -> dict[Path, byt
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    dataset = snapshot.load_dataset(out)
     try:
         if args.lambda_ is not None:
             grid = (args.lambda_,)
@@ -156,6 +155,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    dataset = snapshot.load_dataset(out)
     try:
         reports = evaluation.run_sweep(dataset, config)
     except evaluation.UndefinedMetricError as exc:  # a split that holds out nothing

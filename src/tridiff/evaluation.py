@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import TripartiteDataset
+from .core import BipartiteGraph, TripartiteDataset
 from .ingest import EvaluationSplit, split
 from .recommend import LambdaGrid, Scorer
 from .similarity import DIFFUSION, KINDS
@@ -164,8 +164,7 @@ def evaluate_split(
     m = training.user_object.left_count
     scorer = Scorer(training, kind)
     users = np.flatnonzero(test.left_degrees)
-    test_objects = np.split(test.indices, test.indptr[users[1:]])
-    state = (scorer, users, test_objects, grid)
+    state = (scorer, test, users, grid)
     totals, hits = zip(*_scored_blocks(state, len(users)))
     rank_sums = np.cumsum(np.concatenate(totals), axis=0)[-1]
     hit_sums = np.sum(hits, axis=0)
@@ -178,8 +177,8 @@ def evaluate_split(
 
 def _score_block(
     scorer: Scorer,
+    test: BipartiteGraph,
     users: np.ndarray,
-    test_objects: list[np.ndarray],
     grid: LambdaGrid,
     start: int,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -188,11 +187,10 @@ def _score_block(
     relative ranks summed in test-object order, one row per user and one
     column per lambda, and the block's top-L hit sums (lambda x L)."""
     block = users[start : start + BLOCK_USERS]
-    tests = test_objects[start : start + len(block)]
     p_obj, p_tag = scorer.channel_scores(block)
-    ranks, hits = scorer.block_stats(p_obj, p_tag, block, tests, grid)
-    per_user = np.split(ranks, np.cumsum([len(a) for a in tests[:-1]]))
-    return np.array([np.cumsum(r, axis=0)[-1] for r in per_user]), hits.sum(axis=0)
+    ranks, listed = scorer.block_stats(p_obj, p_tag, block, test, grid)
+    per_user = np.split(ranks, np.cumsum(test.left_degrees[block[:-1]]))
+    return np.array([np.cumsum(r, axis=0)[-1] for r in per_user]), listed.sum(axis=0)
 
 
 # Set by the initializer of each pool worker, never in the parent process.

@@ -9,9 +9,10 @@ the object channel).
 
 Objects the target already collected in training score COLLECTED in both
 channels and never compete. A top-L list holds positive scores only, best
-first, ties broken by ascending object index, as do the evaluation's hits.
-The protocol ranks a block of test users' held-out objects at every lambda
-of a sweep in one block_stats call, on a LambdaGrid prepared once per split.
+first, ties broken by ascending object index, as are the evaluation's
+per-pair list flags. The protocol ranks a block of test users' held-out
+pairs, the block's edges of the test graph, at every lambda of a sweep in
+one block_stats call, on a LambdaGrid prepared once per split.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import TripartiteDataset, _sparsetools
+from .core import BipartiteGraph, TripartiteDataset, _sparsetools
 from .similarity import similarity_matrix
 
 # A sweep with fewer distinct lambdas inside (0, 1) than this compares fused
@@ -115,20 +116,21 @@ class Scorer:
 
     def block_stats(
         self, p_obj: np.ndarray, p_tag: np.ndarray, users: Sequence[int],
-        test_objects: Sequence[Sequence[int]], grid: LambdaGrid,
+        test: BipartiteGraph, grid: LambdaGrid,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Relative midranks of the users' test objects among their
-        uncollected objects, and how many of them each top-L list holds, at
+        uncollected objects, and whether each top-L list holds them, at
         every lambda of grid.
 
         Row i of p_obj and p_tag is channel_scores' row for users[i], whose
-        test objects test_objects[i] (at least one) are uncollected.
-        Pair q is the q-th (user, test object), users in order and each
-        user's objects in the order given. Returns ranks[q, g], the midrank
-        of pair q's object under combine(p_obj[i], p_tag[i], grid.lams[g])
-        divided by the number of users[i]'s uncollected objects, and
-        hits[i, g, j], how many of users[i]'s test objects the
-        top-grid.list_lengths[j] list of that score holds. A tie is == on
+        test objects, its neighbors in the test graph (at least one), are
+        uncollected. Pair q is the q-th edge of test.block_edges(users): users
+        in order, each user's objects ascending, so blocks taken in user
+        order concatenate to test's edge order. For pair q of row i, returns
+        ranks[q, g], the midrank of its object under combine(p_obj[i],
+        p_tag[i], grid.lams[g]) divided by the number of users[i]'s
+        uncollected objects, and listed[q, g, j], whether the
+        top-grid.list_lengths[j] list of that score holds it. A tie is == on
         combine's output; within a tie block top_l lists lower indices first.
 
         Both are computed here from each pair's counts at every lambda. A
@@ -137,47 +139,44 @@ class Scorer:
         lambda, one user at a time (_direct_counts). Neither writes into
         any argument.
         """
+        rows, alphas = test.block_edges(users)
         counts = self._crossing_counts if grid.crossing else self._direct_counts
-        (greater, equal, before), fa = counts(p_obj, p_tag, test_objects, grid)
-        sizes = [len(a) for a in test_objects]
-        degrees = np.repeat(self.dataset.user_object.left_degrees[np.asarray(users)], sizes)
-        n_uncollected = self.n_objects - degrees[:, None]
-        lengths = np.asarray(grid.list_lengths)
-        listed = _listed(fa[..., None], greater[..., None], before[..., None], lengths)
-        hits = np.add.reduceat(listed, np.cumsum([0, *sizes[:-1]]), axis=0, dtype=np.int64)
-        return _midrank(greater, equal, n_uncollected), hits
+        (greater, equal, before), fa = counts(p_obj, p_tag, rows, alphas, grid)
+        degrees = self.dataset.user_object.left_degrees[np.asarray(users)][rows]
+        ranks = _midrank(greater, equal, self.n_objects - degrees[:, None])
+        return ranks, _listed(fa, greater, before, grid.list_lengths)
 
     def _direct_counts(
         self, p_obj: np.ndarray, p_tag: np.ndarray,
-        test_objects: Sequence[Sequence[int]], grid: LambdaGrid,
+        rows: np.ndarray, alphas: np.ndarray, grid: LambdaGrid,
     ) -> tuple[np.ndarray, np.ndarray]:
         """_crossing_counts' result by comparing fused scores, one user and
         one lambda at a time."""
         counts, scores = [], []
-        for i, tests in enumerate(test_objects):
-            alphas = np.asarray(tests, dtype=np.intp)
+        for i in range(len(p_obj)):
+            tests = alphas[rows == i]
             user_counts, user_scores = [], []
             for lam in grid.lams.tolist():
                 p = self.combine(p_obj[i], p_tag[i], lam)
-                user_scores.append(p[alphas])
+                user_scores.append(p[tests])
                 user_counts.append([
                     (_count(p > pa), _count(p == pa), _count(p[:alpha] == pa))
-                    for alpha, pa in zip(alphas.tolist(), user_scores[-1].tolist())
+                    for alpha, pa in zip(tests.tolist(), user_scores[-1].tolist())
                 ])
             # (lambda, pair, count) -> (count, pair, lambda)
-            counts.append(np.array(user_counts, dtype=np.int64).reshape(-1, len(alphas), 3).T)
-            scores.append(np.array(user_scores).reshape(-1, len(alphas)).T)
+            counts.append(np.array(user_counts, dtype=np.int64).reshape(-1, len(tests), 3).T)
+            scores.append(np.array(user_scores).reshape(-1, len(tests)).T)
         return np.concatenate(counts, axis=1), np.concatenate(scores)
 
     def _crossing_counts(
         self, p_obj: np.ndarray, p_tag: np.ndarray,
-        test_objects: Sequence[Sequence[int]], grid: LambdaGrid,
+        rows: np.ndarray, alphas: np.ndarray, grid: LambdaGrid,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Counts of each test pair q at every lambda g of a crossing grid:
-        counts[:, q, g] holds how many uncollected objects have a fused
-        score above, equal to, and equal to with a lower index than the
-        test object's, which is fa[q, g]. One pass over the user's row per
-        pair and one crossing stage for the block.
+        """Counts of each test pair q, object alphas[q] of row rows[q], at
+        every lambda g of a crossing grid: counts[:, q, g] holds how many
+        uncollected objects have a fused score above, equal to, and equal to
+        with a lower index than the test object's, which is fa[q, g]. One
+        pass over the user's row per pair and one crossing stage for the block.
 
         For a test object alpha and a competitor beta let d0 = t_beta - t_alpha
         and d1 = o_beta - o_alpha (t: tag channel, o: object channel). The
@@ -193,8 +192,6 @@ class Scorer:
         """
         points, end = grid.points, len(grid.points) - 1
         reach = (2.0 * _crossing_margin(p_obj, p_tag, grid.spacing)).tolist()
-        rows = np.repeat(np.arange(len(test_objects)), [len(a) for a in test_objects])
-        alphas = np.concatenate(test_objects).astype(np.intp)
         n = self.n_objects
         stats, cross, near = [], [], []
         for i, alpha in zip(rows.tolist(), alphas.tolist()):
@@ -272,11 +269,11 @@ def _midrank(greater, equal, n_uncollected):
     return (greater + (equal + 1) / 2.0) / n_uncollected
 
 
-def _listed(score, greater, before, L):
-    """Whether the top-L list holds an object with this score, `greater`
-    objects above it and `before` tied ones of lower index (top_l's order);
-    a zero score is never listed."""
-    return (score > 0.0) & (greater + before < L)
+def _listed(score, greater, before, list_lengths):
+    """Whether each top-L list, L of list_lengths on a new last axis, holds an
+    object with this score, `greater` objects above it and `before` tied ones
+    of lower index (top_l's order); a zero score is never listed."""
+    return (score > 0.0)[..., None] & ((greater + before)[..., None] < np.asarray(list_lengths))
 
 
 def _crossing_margin(p_obj: np.ndarray, p_tag: np.ndarray, spacing: float) -> np.ndarray:

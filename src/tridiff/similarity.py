@@ -7,7 +7,11 @@ full m x m matrix):
   right-node neighbors, then each right node spreads its share equally back
   to its users. The fraction user u ends up with is the (asymmetric)
   similarity of u toward the target. Rows conserve mass: they sum to 1
-  whenever the target has degree >= 1.
+  whenever the target has degree >= 1. This is the target-normalised
+  reading, sum_beta a_u,beta a_v,beta / (k_v k_beta) for target v; the
+  neighbour-normalised one (Zhou, Ren, Medo and Zhang, Phys. Rev. E 76,
+  046115, 2007) divides by k_u instead, so on fixture F1 u2 gets 0.5 toward
+  u1, not 0.25 (test_similarity.py::TestDiffusionRow::test_f1_target_u1).
 * cosine: overlap / sqrt(k(u) * k(v)) on the binary neighbor sets.
 * jaccard: overlap / union size.
 

@@ -111,13 +111,16 @@ def random_tripartite(
 
 
 def stats_of_one(scorer, p_obj, p_tag, v, test_objects, lambdas, list_lengths):
-    """Scorer.block_stats for a block of one user v: ranks (test object x
-    lambda) and hits (lambda x list length)."""
-    grid = LambdaGrid(lambdas, list_lengths)
-    ranks, hits = scorer.block_stats(
-        np.array([p_obj]), np.array([p_tag]), [v], [test_objects], grid
+    """Scorer.block_stats for a block of one user v, whose distinct
+    test_objects form a one-user test graph: ranks (test object x lambda,
+    in the order of test_objects) and hits (lambda x list length)."""
+    graph = scorer.dataset.user_object
+    test = build_graph([(v, a) for a in test_objects], graph.left_count, graph.right_count)
+    ranks, listed = scorer.block_stats(
+        np.array([p_obj]), np.array([p_tag]), [v], test, LambdaGrid(lambdas, list_lengths)
     )
-    return ranks, hits[0]
+    _, alphas = test.block_edges([v])
+    return ranks[np.searchsorted(alphas, test_objects)], listed.sum(axis=0)
 
 
 def rewrite_snapshot(path, drop=(), version=None, **arrays) -> None:

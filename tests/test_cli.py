@@ -407,6 +407,19 @@ class TestSweep:
         assert rc == 1
         assert "run ingest first" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "--lambda-step", "0"], ["sweep", "--runs", "0"],
+         ["sweep", "--similarity", "nosuch"], ["recommend", "--user", "1", "--lambda", "2"]],
+    )
+    def test_bad_flag_refused_before_snapshot_read(self, tmp_path, capsys, argv):
+        # no snapshot in the directory: a bad flag is named, not the missing file
+        assert main([argv[0], "--out", str(tmp_path), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("usage error: ")
+        assert captured.out == ""
+
     def test_version_1_snapshot_needs_new_ingest(self, tmp_path, capsys):
         # the .npz archive that format versions 1 and 2 wrote has another name;
         # this one holds version 1's members: (E, 2) edge lists, no CSR arrays

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from tridiff import evaluation, recommend
 from tridiff.cli import main
+from tridiff.core import build_graph
 from tridiff.evaluation import (
     ExperimentConfig,
     UndefinedMetricError,
@@ -201,18 +202,19 @@ class TestSweepStats:
         scorer = Scorer(ds, "diffusion")
         p_obj = np.array([masked(o, collected) for o, _, collected, _ in users])
         p_tag = np.array([masked(t, collected) for _, t, collected, _ in users])
-        test_objects = [tests for *_, tests in users]
-        first = np.cumsum([0] + [len(tests) for tests in test_objects])
+        pairs = [(i, x) for i, (*_, tests) in enumerate(users) for x in tests]
+        test = build_graph(pairs, b + 1, n)
+        first = np.cumsum([0] + [len(tests) for *_, tests in users])
         # the path is chosen when the grid is prepared: crossing, then direct
         for threshold in (1, len(lambdas) + 1):
             with mock.patch.object(recommend, "MIN_CROSSING_POINTS", threshold):
                 grid = LambdaGrid(lambdas, (1, 2, 5))
             assert grid.crossing == (threshold == 1 and any(0.0 < lam < 1.0 for lam in lambdas))
-            ranks, hits = scorer.block_stats(p_obj, p_tag, range(b), test_objects, grid)
+            ranks, listed = scorer.block_stats(p_obj, p_tag, range(b), test, grid)
             for i, (o, t, collected, tests) in enumerate(users):
-                expected = brute_sweep_stats(o, t, collected, tests, lambdas, (1, 2, 5))
+                expected = brute_sweep_stats(o, t, collected, sorted(tests), lambdas, (1, 2, 5))
                 assert np.array_equal(ranks[first[i] : first[i + 1]], expected[0])
-                assert np.array_equal(hits[i], expected[1])
+                assert np.array_equal(listed[first[i] : first[i + 1]].sum(axis=0), expected[1])
 
     @pytest.mark.parametrize("lambdas", [lambda_grid(0.0, 1.0, 0.02), (0.5,)])
     def test_leaves_its_inputs_unchanged(self, lambdas):
@@ -224,12 +226,11 @@ class TestSweepStats:
         scorer = Scorer(evaluation_split.training, "diffusion")
         test = evaluation_split.test
         block = np.flatnonzero(test.left_degrees)
-        tests = np.split(test.indices, test.indptr[block[1:]])
         grid = LambdaGrid(lambdas, (5,))
         assert grid.crossing == (len(lambdas) > 1)
         p_obj, p_tag = scorer.channel_scores(block)
         before = p_obj.tobytes(), p_tag.tobytes()
-        scorer.block_stats(p_obj, p_tag, block, tests, grid)
+        scorer.block_stats(p_obj, p_tag, block, test, grid)
         assert (p_obj.tobytes(), p_tag.tobytes()) == before
 
     def test_rejects_lambda_outside_unit_interval(self):

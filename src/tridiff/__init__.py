@@ -8,13 +8,6 @@ from .core import (
     TripartiteDataset,
     build_graph,
 )
-from .evaluation import (
-    ExperimentConfig,
-    MetricsReport,
-    UndefinedMetricError,
-    evaluate_split,
-    run_sweep,
-)
 from .ingest import EvaluationSplit, RawRecords, core_filter, parse, split
 from .recommend import Scorer
 
@@ -24,18 +17,13 @@ __all__ = [
     "BipartiteGraph",
     "EntityIndexMap",
     "EvaluationSplit",
-    "ExperimentConfig",
     "GraphConstructionError",
     "IndexMapError",
-    "MetricsReport",
     "RawRecords",
     "Scorer",
     "TripartiteDataset",
-    "UndefinedMetricError",
     "build_graph",
     "core_filter",
-    "evaluate_split",
     "parse",
-    "run_sweep",
     "split",
 ]

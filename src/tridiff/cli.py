@@ -9,11 +9,14 @@ import argparse
 import functools
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import evaluation, ingest, similarity, snapshot
+from . import ingest, similarity, snapshot
 from .core import IndexMapError
-from .evaluation import ExperimentConfig, MetricsReport
 from .recommend import Scorer
+
+if TYPE_CHECKING:  # sweep alone imports the protocol and its worker pool
+    from .evaluation import MetricsReport
 
 
 def _float_fmt(x: float) -> str:
@@ -118,10 +121,11 @@ def _csv(header: list[str], rows: list[list[str]]) -> bytes:
     return ("\n".join(",".join(row) for row in [header, *rows]) + "\n").encode("utf-8")
 
 
-def _report_files(report: MetricsReport, kind: str, out: Path) -> dict[Path, bytes]:
+def _report_files(
+    report: MetricsReport, names: list[str], kind: str, out: Path
+) -> dict[Path, bytes]:
     """sweep_<kind>.csv (one row per cell), summary_<kind>.csv (per-lambda
     means) and optima_<kind>.csv (the best lambda of each metric)."""
-    names = evaluation.metric_names(report.config.list_lengths)
     grid = [_float_fmt(lam) for lam in report.config.lambda_grid]
     cells = [
         [kind, lam, str(run), *map(_float_fmt, row)]
@@ -138,13 +142,17 @@ def _report_files(report: MetricsReport, kind: str, out: Path) -> dict[Path, byt
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from concurrent.futures.process import BrokenProcessPool
+
+    from . import evaluation
+
     out = Path(args.out)
     try:
         if args.lambda_ is not None:
             grid = (args.lambda_,)
         else:
             grid = evaluation.lambda_grid(args.lambda_min, args.lambda_max, args.lambda_step)
-        config = ExperimentConfig(
+        config = evaluation.ExperimentConfig(
             similarity_kinds=tuple(args.similarity),
             lambda_grid=grid,
             runs=args.runs,
@@ -161,11 +169,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except evaluation.UndefinedMetricError as exc:  # a split that holds out nothing
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except BrokenProcessPool as exc:  # a worker killed, by the OOM killer say
+        print(f"error: a sweep worker died: {exc}", file=sys.stderr)
+        return 1
     # one set for all kinds, so that a failed write changes no kind's reports
+    names = evaluation.metric_names(config.list_lengths)
     snapshot.write_files({
         path: data
         for kind, report in reports.items()
-        for path, data in _report_files(report, kind, out).items()
+        for path, data in _report_files(report, names, kind, out).items()
     })
     for kind in reports:
         print(f"wrote {out / f'sweep_{kind}.csv'}", file=sys.stderr)

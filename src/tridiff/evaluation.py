@@ -27,6 +27,7 @@ import functools
 import math
 import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -148,11 +149,9 @@ def evaluate_split(
 
     Each edge of the test graph is one test pair, taken by user, then
     object. Raises ValueError for a lambda outside [0, 1], before any worker
-    starts, and UndefinedMetricError when the split has no test pair. A
-    large split's blocks of test users are scored by one forked worker
-    process per CPU of the affinity mask; their rank totals are added one
-    user at a time in ascending order (an accumulate along the users axis),
-    so every float equals a serial loop's.
+    starts, and UndefinedMetricError when the split has no test pair. The
+    ranks of _scored_pairs are added one at a time, each user's in
+    test-object order, then the user totals in user order, whoever scored them.
     """
     grid = LambdaGrid(lambda_grid, list_lengths)
     test = evaluation_split.test
@@ -160,37 +159,28 @@ def evaluate_split(
     if n_p == 0:
         raise UndefinedMetricError("metrics are undefined for an empty test set")
 
-    training = evaluation_split.training
-    m = training.user_object.left_count
-    scorer = Scorer(training, kind)
-    users = np.flatnonzero(test.left_degrees)
-    state = (scorer, test, users, grid)
-    totals, hits = zip(*_scored_blocks(state, len(users)))
-    rank_sums = np.cumsum(np.concatenate(totals), axis=0)[-1]
-    hit_sums = np.sum(hits, axis=0)
+    ranks, listed = _scored_pairs(Scorer(evaluation_split.training, kind), test, grid)
+    # pass k adds the k-th test pair of every user that has one; a user
+    # without test pairs keeps a total of 0.0, which adds nothing
+    degrees, firsts = test.left_degrees, test.indptr[:-1]
+    totals = np.zeros((test.left_count, len(grid.lams)))
+    for k in range(degrees.max()):
+        totals[degrees > k] += ranks[firsts[degrees > k] + k]
+    rank_sums = np.cumsum(totals, axis=0)[-1]
+    hit_sums = listed.sum(axis=0)
 
     # int / int true division rounds once, so recall and precision are the
-    # shared hit count over their own denominators, exactly
-    denominators = m * np.asarray(list_lengths, dtype=np.int64)
+    # shared hit count over their own denominators (m: all users), exactly
+    denominators = test.left_count * np.asarray(list_lengths, dtype=np.int64)
     return np.column_stack((rank_sums / n_p, hit_sums / n_p, hit_sums / denominators))
 
 
 def _score_block(
-    scorer: Scorer,
-    test: BipartiteGraph,
-    users: np.ndarray,
-    grid: LambdaGrid,
-    start: int,
+    scorer: Scorer, test: BipartiteGraph, users: np.ndarray, grid: LambdaGrid, start: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Scores the test users users[start : start + BLOCK_USERS] as one block:
-    one channel_scores and one block_stats call. Returns each user's
-    relative ranks summed in test-object order, one row per user and one
-    column per lambda, and the block's top-L hit sums (lambda x L)."""
+    """block_stats of the users users[start : start + BLOCK_USERS] as one block."""
     block = users[start : start + BLOCK_USERS]
-    p_obj, p_tag = scorer.channel_scores(block)
-    ranks, listed = scorer.block_stats(p_obj, p_tag, block, test, grid)
-    per_user = np.split(ranks, np.cumsum(test.left_degrees[block[:-1]]))
-    return np.array([np.cumsum(r, axis=0)[-1] for r in per_user]), listed.sum(axis=0)
+    return scorer.block_stats(*scorer.channel_scores(block), block, test, grid)
 
 
 # Set by the initializer of each pool worker, never in the parent process.
@@ -213,28 +203,38 @@ def _usable_cpus() -> int:
     return 1
 
 
-def _scored_blocks(state: tuple, n_users: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """_score_block(*state, start) for each block of BLOCK_USERS of the
-    n_users test users, in order. One forked worker per usable CPU scores
-    them, inheriting the state without pickling it; with one CPU or fewer
-    than MIN_POOL_BLOCKS blocks they are scored in this process.
+def _scored_pairs(
+    scorer: Scorer, test: BipartiteGraph, grid: LambdaGrid
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scorer.block_stats' ranks and list flags for every edge of test, in
+    edge order: the users with test edges, ascending, are scored in blocks
+    of BLOCK_USERS, concatenated in block order. One forked worker per usable
+    CPU scores the blocks, inheriting the state without pickling it; with one
+    CPU or fewer than MIN_POOL_BLOCKS blocks this process does. A worker
+    that dies raises BrokenProcessPool once the others are ended.
 
-    Pool.map sends the blocks in its default chunks of
-    ceil(blocks / (4 * workers)): one block per task cost ~18% more at one
-    lambda, and at 51 lambdas chunks of 1 to 23 blocks measured the same.
+    The blocks go out in Pool.map's default chunks, ceil(blocks / (4 *
+    workers)): one block per task cost ~18% more at one lambda, and at 51
+    lambdas chunks of 1 to 23 blocks measured the same.
     """
-    starts = range(0, n_users, BLOCK_USERS)
+    users = np.flatnonzero(test.left_degrees)
+    state = (scorer, test, users, grid)
+    starts = range(0, len(users), BLOCK_USERS)
     workers = min(_usable_cpus(), len(starts)) if len(starts) >= MIN_POOL_BLOCKS else 1
     if workers < 2:
-        return [_score_block(*state, start) for start in starts]
-    # fork, not spawn: a spawned pool re-imports the libraries and unpickles
-    # the ~6 MB scorer in each worker, ~1 s against ~25 ms for a forked one.
-    # The workers make no BLAS call (sparse products and numpy's
-    # element-wise ops, sorts and sums only), so the BLAS thread that exists
-    # after `import numpy`, which Python 3.12's fork DeprecationWarning
-    # counts, holds no lock a worker could need.
-    with multiprocessing.get_context("fork").Pool(workers, _init_worker, state) as pool:
-        return pool.map(_score_block_in_worker, starts)
+        blocks = [_score_block(*state, start) for start in starts]
+    else:
+        # fork, not spawn: a spawned pool re-imports the libraries and
+        # unpickles the ~6 MB scorer in each worker, ~1 s against ~25 ms.
+        # The workers make no BLAS call, so the BLAS thread of `import numpy`,
+        # which Python 3.12's fork DeprecationWarning counts, holds no lock
+        # a worker could need.
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, fork, _init_worker, state) as pool:
+            chunk = -(-len(starts) // (4 * workers))
+            blocks = list(pool.map(_score_block_in_worker, starts, chunksize=chunk))
+    ranks, listed = zip(*blocks)  # per block
+    return np.concatenate(ranks), np.concatenate(listed)
 
 
 def run_sweep(dataset: TripartiteDataset, config: ExperimentConfig) -> dict[str, MetricsReport]:

@@ -12,7 +12,7 @@ import pytest
 from tridiff.cli import build_parser, main
 from tridiff.snapshot import SNAPSHOT_NAME, save_dataset
 
-from conftest import frame_snapshot, make_dataset, rewrite_snapshot
+from conftest import frame_snapshot, make_dataset, random_tripartite, rewrite_snapshot
 
 OBJECT_LINES = """\
 userId\tmovieId\trating
@@ -166,7 +166,8 @@ class TestIngest:
 
     def test_ingest_process_imports_no_scipy(self, data_files, tmp_path):
         # ingest needs no scipy; recommend and sweep load only its compiled
-        # sparse kernels, by path, and import no module of scipy
+        # sparse kernels, by path, and import no module of scipy. Only sweep
+        # loads the evaluation protocol and the modules of its worker pool
         objects, tags = data_files
         out = str(tmp_path / "out")
         ingest = ["ingest", "--objects", str(objects), "--tags", str(tags), "--out", out]
@@ -177,12 +178,18 @@ class TestIngest:
             "from tridiff.cli import main\n"
             "def scipy_modules():\n"
             "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "def sweep_modules():\n"
+            "    names = ('tridiff.evaluation', 'multiprocessing', 'concurrent.futures')\n"
+            "    return [m for m in names if m in sys.modules]\n"
             f"assert main({ingest!r}) == 0\n"
             "assert scipy_modules() == [], scipy_modules()\n"
+            "assert sweep_modules() == [], sweep_modules()\n"
             f"assert main({recommend!r}) == 0\n"
             "assert scipy_modules() == ['scipy.sparse._sparsetools'], scipy_modules()\n"
+            "assert sweep_modules() == [], sweep_modules()\n"
             f"assert main({sweep!r}) == 0\n"
             "assert scipy_modules() == ['scipy.sparse._sparsetools'], scipy_modules()\n"
+            "assert len(sweep_modules()) == 3, sweep_modules()\n"
         )
         assert done.returncode == 0, done.stderr
         assert (tmp_path / "out" / SNAPSHOT_NAME).is_file()
@@ -283,7 +290,7 @@ class TestSweep:
         assert (snapshot_dir / "sweep_diffusion.csv").read_bytes() == first
 
     def test_csv_roundtrips_floats(self, snapshot_dir):
-        from tridiff import ExperimentConfig, run_sweep
+        from tridiff.evaluation import ExperimentConfig, run_sweep
         from tridiff.snapshot import load_dataset
 
         assert main(self.sweep_args(snapshot_dir)) == 0
@@ -401,6 +408,38 @@ class TestSweep:
         after = {p.name: p.read_bytes() for p in snapshot_dir.iterdir() if p.is_file()}
         assert after == earlier
         assert {p.name for p in snapshot_dir.iterdir()} == {*earlier, "summary_cosine.csv"}
+
+    def test_dead_worker_is_one_error_line(self, tmp_path):
+        # a pooled sweep whose workers die, as one killed by the OOM killer
+        # would, fails within the timeout, writes no report and leaves no
+        # worker process behind
+        save_dataset(
+            random_tripartite(np.random.default_rng(5), m=60, n=80, r=30,
+                              obj_density=0.08, tag_density=0.08),
+            tmp_path,
+        )
+        sweep = ["sweep", "--out", str(tmp_path), "--runs", "1", "--lambda", "0.5"]
+        done = python_process(
+            "import os, sys\n"
+            "from tridiff import evaluation\n"
+            "from tridiff.cli import main\n"
+            "from tridiff.recommend import Scorer\n"
+            "evaluation.BLOCK_USERS = evaluation.MIN_POOL_BLOCKS = 1\n"
+            "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+            "Scorer.block_stats = lambda *args: os._exit(1)\n"
+            f"rc = main({sweep!r})\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:  # no child process, running or ended\n"
+            "    sys.exit(rc)\n"
+            "sys.exit('a worker process is left behind')\n",
+            timeout=60,
+        )
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("error: a sweep worker died: ")
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == [SNAPSHOT_NAME, "summary.json"]
 
     def test_missing_snapshot(self, tmp_path, capsys):
         rc = main(["sweep", "--out", str(tmp_path / "void")])
@@ -580,11 +619,11 @@ def test_corrupt_snapshot_is_one_error_line(snapshot_dir, capsys, damage, comman
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def python_process(code: str) -> subprocess.CompletedProcess:
+def python_process(code: str, timeout: float = 120) -> subprocess.CompletedProcess:
     """Run code in a fresh Python process that imports tridiff from src/."""
     return subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": SRC}, timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC}, timeout=timeout,
     )
 
 
@@ -663,9 +702,9 @@ def test_console_script_end_to_end(tmp_path):
     # and comparing fused scores (one lambda), whose lambda = 0.5 rows must
     # be equal; top-L lists of two kinds; top-L lists at lambda = 0 and 1
     # with warnings as errors (0 x a collected object's score must give no
-    # NaN); a top-L list whose import log names no scipy module; an unknown
-    # user; and a snapshot cut short by 100 bytes, each one error line and
-    # exit 1
+    # NaN); a top-L list whose import log names no scipy and no
+    # multiprocessing module; an unknown user; and a snapshot cut short by
+    # 100 bytes, each one error line and exit 1
     (tmp_path / "objects.tsv").write_text(
         "1\t101\t5\n1\t102\t4\n2\t101\t3\n2\t103\t4\n3\t102\t5\n3\t103\t2\n", encoding="utf-8"
     )
@@ -697,6 +736,7 @@ def test_console_script_end_to_end(tmp_path):
     succeeds("recommend", "--out", "run", "--user", "1", "--lambda", "1", PYTHONWARNINGS="error")
     imports = succeeds("recommend", "--out", "run", "--user", "1", PYTHONPROFILEIMPORTTIME="1")
     assert "import time:" in imports.stderr and "scipy" not in imports.stderr
+    assert "multiprocessing" not in imports.stderr
 
     done = tridiff("recommend", "--out", "run", "--user", "nosuchuser")
     assert done.returncode == 1

@@ -2,9 +2,9 @@ import contextlib
 import hashlib
 import itertools
 import math
-import multiprocessing
 import os
 import re
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from tridiff import evaluation, recommend
 from tridiff.cli import main
-from tridiff.core import build_graph
+from tridiff.core import EntityIndexMap, build_graph
 from tridiff.evaluation import (
     ExperimentConfig,
     UndefinedMetricError,
@@ -22,7 +22,7 @@ from tridiff.evaluation import (
     lambda_grid,
     run_sweep,
 )
-from tridiff.ingest import split
+from tridiff.ingest import EvaluationSplit, split
 from tridiff.recommend import COLLECTED, LambdaGrid, Scorer
 from tridiff.snapshot import save_dataset
 
@@ -524,13 +524,13 @@ def forced_pool(cpus=3):
     """Every split is scored by a pool of up to `cpus` forked workers, whatever
     its size; yields a spy on the pool constructor. cpus=None leaves the
     affinity mask, or its absence, as it is."""
-    fork = multiprocessing.get_context("fork")
     affinity = (
         contextlib.nullcontext() if cpus is None
         else mock.patch.object(os, "sched_getaffinity", return_value=set(range(cpus)))
     )
+    executor = evaluation.ProcessPoolExecutor
     with affinity, mock.patch.object(evaluation, "MIN_POOL_BLOCKS", 1), \
-            mock.patch.object(fork, "Pool", wraps=fork.Pool) as pool:
+            mock.patch.object(evaluation, "ProcessPoolExecutor", wraps=executor) as pool:
         yield pool
 
 
@@ -565,6 +565,40 @@ class TestWorkerPool:
         assert pool.call_count == 1
         assert np.array_equal(pooled, inline)
 
+    @pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pooled"])
+    @pytest.mark.parametrize("block_users", [4, 3])
+    @pytest.mark.parametrize("grid", [lambda_grid(0.0, 1.0, 0.02), (0.5,)], ids=["51", "1"])
+    def test_reduction_order(self, dataset, grid, block_users, pooled):
+        # the rank column is each user's block_stats ranks added left to
+        # right, then the user totals added left to right, in Python floats;
+        # the hits are the sums of the list flags. This split's 47 test users
+        # hold up to 6 pairs each, and it makes 12 blocks of 4 or 16 of 3, the
+        # last one partial; on it both np.add.reduceat per user and one flat
+        # sum over the pairs move the rank column at both grids
+        evaluation_split = split(dataset, 0.7, 1)
+        L, test = (5, 10), evaluation_split.test
+        assert np.count_nonzero(test.left_degrees) == 47
+        scorer = Scorer(evaluation_split.training, "diffusion")
+        users = np.flatnonzero(test.left_degrees)
+        rank_sums, hits = [0.0] * len(grid), 0
+        for start in range(0, len(users), block_users):
+            block = users[start : start + block_users]
+            p_obj, p_tag = scorer.channel_scores(block)
+            ranks, listed = scorer.block_stats(p_obj, p_tag, block, test, LambdaGrid(grid, L))
+            rows, _ = test.block_edges(block)
+            for i in range(len(block)):
+                total = [0.0] * len(grid)
+                for row in ranks[rows == i].tolist():
+                    total = [a + b for a, b in zip(total, row)]
+                rank_sums = [a + b for a, b in zip(rank_sums, total)]
+            hits += listed.sum(axis=0)
+        with mock.patch.object(evaluation, "BLOCK_USERS", block_users):
+            with forced_pool() if pooled else contextlib.nullcontext():
+                cells = evaluate_split(evaluation_split, "diffusion", grid, L)
+        n_p = test.edge_count
+        assert cells[:, 0].tobytes() == np.array([r / n_p for r in rank_sums]).tobytes()
+        assert cells[:, 1:3].tobytes() == (hits / n_p).tobytes()
+
     def test_worker_exception_reaches_caller(self, evaluation_split):
         boom = RuntimeError("boom in a worker")
         with forced_pool() as pool, mock.patch.object(Scorer, "block_stats", side_effect=boom):
@@ -595,6 +629,99 @@ class TestWorkerPool:
             pooled = evaluate_split(evaluation_split, "diffusion", (0.5,), (5,))
         assert np.array_equal(pooled, inline)
         pool.assert_not_called()
+
+
+def renumbered(evaluation_split, objects=None, tags=None):
+    """The split with object x renamed objects[x] and tag t renamed
+    tags[t], in the training and the test graphs alike; None keeps them."""
+    training = evaluation_split.training
+
+    def graph(g, perm):
+        if perm is None:
+            return g
+        left, right = g.edge_array().T
+        return build_graph(np.column_stack((left, perm[right])), g.left_count, g.right_count)
+
+    def index(ids, perm):
+        if perm is None:
+            return ids
+        moved = np.empty_like(ids.ids)
+        moved[perm] = ids.ids
+        return EntityIndexMap(moved)
+
+    dataset = replace(
+        training,
+        objects=index(training.objects, objects), tags=index(training.tags, tags),
+        user_object=graph(training.user_object, objects), user_tag=graph(training.user_tag, tags),
+    )
+    return EvaluationSplit(dataset, graph(evaluation_split.test, objects))
+
+
+class TestLabelInvariance:
+    """Relations that hold exactly by construction. Cosine and jaccard count
+    overlaps in integers, and a channel score sums over users in user order,
+    so renaming objects or tags changes no float. Not checked here:
+    diffusion, whose weights sum over a user's objects or tags in index
+    order, and renamed users, which reorder every channel score's sum; both
+    can split a tie on larger data."""
+
+    GRIDS = {"51": lambda_grid(0.0, 1.0, 0.02), "1": (0.5,)}
+
+    @pytest.fixture
+    def evaluation_split(self, dataset):
+        return split(dataset, 0.9, 3)
+
+    @staticmethod
+    def pair_ranks(evaluation_split, kind, grid):
+        """Every test pair's ranks, in edge order, and its (user, object) key."""
+        test = evaluation_split.test
+        scorer = Scorer(evaluation_split.training, kind)
+        ranks, _ = evaluation._scored_pairs(scorer, test, LambdaGrid(grid, (5,)))
+        users, objects = test.edge_array().T
+        return ranks, users * test.right_count + objects
+
+    @staticmethod
+    def top_l_scores(evaluation_split, kind, grid, L=5):
+        """The score sequence of each test user's top-L list at every lambda."""
+        scorer = Scorer(evaluation_split.training, kind)
+        users = np.flatnonzero(evaluation_split.test.left_degrees)
+        p_obj, p_tag = scorer.channel_scores(users)
+        return [
+            [score for _, score in scorer.top_l(scorer.combine(o, t, lam), L)]
+            for o, t in zip(p_obj, p_tag)
+            for lam in grid
+        ]
+
+    @pytest.mark.parametrize("kind", ["cosine", "jaccard"])
+    @pytest.mark.parametrize("gid", list(GRIDS))
+    def test_renumbered_objects(self, evaluation_split, kind, gid, pooled=False):
+        grid = self.GRIDS[gid]
+        n = evaluation_split.test.right_count
+        perm = np.random.default_rng(17).permutation(n)
+        moved = renumbered(evaluation_split, objects=perm)
+        with forced_pool() if pooled else contextlib.nullcontext() as pool:
+            ranks, keys = self.pair_ranks(evaluation_split, kind, grid)
+            moved_ranks, moved_keys = self.pair_ranks(moved, kind, grid)
+        assert pool is None or pool.call_count == 2
+        # pair (u, x) is pair (u, perm[x]) of the renumbered split
+        users, objects = np.divmod(keys, n)
+        at = np.searchsorted(moved_keys, users * n + perm[objects])
+        assert np.array_equal(moved_keys[at], users * n + perm[objects])
+        assert moved_ranks[at].tobytes() == ranks.tobytes()
+        assert self.top_l_scores(moved, kind, grid) == self.top_l_scores(evaluation_split, kind, grid)
+
+    def test_renumbered_objects_pooled(self, evaluation_split):
+        with mock.patch.object(evaluation, "BLOCK_USERS", 4):
+            self.test_renumbered_objects(evaluation_split, "cosine", "51", pooled=True)
+
+    @pytest.mark.parametrize("kind", ["cosine", "jaccard"])
+    @pytest.mark.parametrize("gid", list(GRIDS))
+    def test_renumbered_tags(self, evaluation_split, kind, gid):
+        grid = self.GRIDS[gid]
+        perm = np.random.default_rng(19).permutation(evaluation_split.training.tags.ids.size)
+        moved = renumbered(evaluation_split, tags=perm)
+        cells = evaluate_split(evaluation_split, kind, grid, (5, 10))
+        assert evaluate_split(moved, kind, grid, (5, 10)).tobytes() == cells.tobytes()
 
 
 class TestSweepCsvPinned:

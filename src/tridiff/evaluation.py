@@ -10,8 +10,8 @@ orderings. The relative rank is midrank / (number of uncollected objects);
 averaging it over all test pairs gives the ranking score (lower is better).
 
 Recall@L and Precision@L share the numerator sum-of-hits; Precision divides
-by m * L with m the full filtered user count, so P * m * L = R * N_p holds
-exactly per cell.
+by m * L with m the full filtered user count, each a division of Python ints
+that rounds once, so P * m * L = R * N_p holds exactly per cell for every L.
 
 Results are arrays. A split's metrics at every lambda form one row per grid
 point and one column per metric, in metric_names order; a kind's sweep
@@ -170,17 +170,11 @@ def evaluate_split(
     hit_sums = listed.sum(axis=0)
 
     # int / int true division rounds once, so recall and precision are the
-    # shared hit count over their own denominators (m: all users), exactly
-    denominators = test.left_count * np.asarray(list_lengths, dtype=np.int64)
-    return np.column_stack((rank_sums / n_p, hit_sums / n_p, hit_sums / denominators))
-
-
-def _score_block(
-    scorer: Scorer, test: BipartiteGraph, users: np.ndarray, grid: LambdaGrid, start: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """block_stats of the users users[start : start + BLOCK_USERS] as one block."""
-    block = users[start : start + BLOCK_USERS]
-    return scorer.block_stats(*scorer.channel_scores(block), block, test, grid)
+    # shared hit count over their own denominators (m: all users), exactly;
+    # m * L is taken in Python ints, which do not wrap at 2**63
+    denominators = np.array([test.left_count * int(L) for L in list_lengths], dtype=object)
+    precision = (hit_sums.astype(object) / denominators).astype(np.float64)
+    return np.column_stack((rank_sums / n_p, hit_sums / n_p, precision))
 
 
 # Set by the initializer of each pool worker, never in the parent process.
@@ -192,8 +186,13 @@ def _init_worker(*state) -> None:
     _worker_state = state
 
 
-def _score_block_in_worker(start: int) -> tuple[np.ndarray, np.ndarray]:
-    return _score_block(*_worker_state, start)
+def _score_block(start: int, state: tuple = ()) -> tuple[np.ndarray, np.ndarray]:
+    """block_stats of the users users[start : start + BLOCK_USERS] as one
+    block, where state is (scorer, test, users, grid); a pool worker's by
+    default."""
+    scorer, test, users, grid = state or _worker_state
+    block = users[start : start + BLOCK_USERS]
+    return scorer.block_stats(*scorer.channel_scores(block), block, test, grid)
 
 
 def _usable_cpus() -> int:
@@ -222,7 +221,7 @@ def _scored_pairs(
     starts = range(0, len(users), BLOCK_USERS)
     workers = min(_usable_cpus(), len(starts)) if len(starts) >= MIN_POOL_BLOCKS else 1
     if workers < 2:
-        blocks = [_score_block(*state, start) for start in starts]
+        blocks = [_score_block(start, state) for start in starts]
     else:
         # fork, not spawn: a spawned pool re-imports the libraries and
         # unpickles the ~6 MB scorer in each worker, ~1 s against ~25 ms.
@@ -232,7 +231,7 @@ def _scored_pairs(
         fork = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers, fork, _init_worker, state) as pool:
             chunk = -(-len(starts) // (4 * workers))
-            blocks = list(pool.map(_score_block_in_worker, starts, chunksize=chunk))
+            blocks = list(pool.map(_score_block, starts, chunksize=chunk))
     ranks, listed = zip(*blocks)  # per block
     return np.concatenate(ranks), np.concatenate(listed)
 
@@ -253,12 +252,11 @@ def run_sweep(dataset: TripartiteDataset, config: ExperimentConfig) -> dict[str,
             f"{edges} user-object edges, so no metric is defined"
         )
 
-    shape = (config.runs, len(config.lambda_grid), len(metric_names(config.list_lengths)))
-    cells = {kind: np.empty(shape) for kind in config.similarity_kinds}
+    rows = {kind: [] for kind in config.similarity_kinds}  # per run
     for run in range(config.runs):
         evaluation_split = split(dataset, config.train_fraction, config.base_seed + run)
-        for kind, kind_cells in cells.items():
-            kind_cells[run] = evaluate_split(
-                evaluation_split, kind, config.lambda_grid, config.list_lengths
+        for kind, kind_rows in rows.items():
+            kind_rows.append(
+                evaluate_split(evaluation_split, kind, config.lambda_grid, config.list_lengths)
             )
-    return {kind: MetricsReport(config, kind_cells) for kind, kind_cells in cells.items()}
+    return {kind: MetricsReport(config, np.stack(kind_rows)) for kind, kind_rows in rows.items()}

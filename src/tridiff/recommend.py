@@ -217,12 +217,11 @@ class Scorer:
             cross.append(np.flatnonzero((up0 & down1) | (down0 & up1)))
             near.append(box)
 
-        # counts[:, q, k]: above, equal and equal-before for pair q at points[k]
+        # counts[:, q, k]: above, equal and equal-before for pair q at points[k],
+        # taken from stats at lam = 0, at every interior point and at lam = 1
         n_pairs, width = len(alphas), end + 1
-        stats = np.array(stats, dtype=np.int64).transpose(2, 0, 1)
-        counts = np.empty((3, n_pairs, width), dtype=np.int64)
-        counts[:, :, 0], counts[:, :, end] = stats[:, :, 0], stats[:, :, 1]
-        counts[:, :, 1:end] = stats[:, :, 2, None]
+        column = np.repeat([0, 2, 1], [1, end - 1, 1])
+        counts = np.array(stats, dtype=np.int64).transpose(2, 0, 1).take(column, axis=2)
         flat = counts.reshape(3, -1)
         o_alpha, t_alpha = p_obj[rows, alphas], p_tag[rows, alphas]
         fa = self.combine(o_alpha[:, None], t_alpha[:, None], points)

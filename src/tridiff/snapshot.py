@@ -161,21 +161,12 @@ def _unpack(buffer: bytearray) -> dict[str, np.ndarray]:
     return arrays
 
 
-def _index_map(arrays: dict[str, np.ndarray], name: str) -> EntityIndexMap:
-    """The index map of the ids arrays holds under name; raises ValueError,
-    naming the array, unless EntityIndexMap accepts them."""
+def _checked(name: str, build, *args) -> EntityIndexMap | BipartiteGraph:
+    """build(*args), build being EntityIndexMap or BipartiteGraph; raises
+    ValueError with the array's name in front if build refuses them."""
     try:
-        return EntityIndexMap(arrays[name])
-    except IndexMapError as exc:
-        raise ValueError(f"{name}: {exc}") from exc
-
-
-def _graph(arrays: dict[str, np.ndarray], name: str, right_count: int) -> BipartiteGraph:
-    """The graph whose CSR arrays arrays holds under name; raises ValueError,
-    naming the graph, unless BipartiteGraph accepts them."""
-    try:
-        return BipartiteGraph(arrays[f"{name}_indptr"], arrays[f"{name}_indices"], right_count)
-    except GraphConstructionError as exc:
+        return build(*args)
+    except (IndexMapError, GraphConstructionError) as exc:
         raise ValueError(f"{name}: {exc}") from exc
 
 
@@ -211,15 +202,15 @@ def load_dataset(directory: Path) -> TripartiteDataset:
                 raise ValueError("the file shrank while it was read")
         arrays = _unpack(buffer)
         users, objects, tags = (
-            _index_map(arrays, name) for name in ("users", "objects", "tags")
+            _checked(name, EntityIndexMap, arrays[name]) for name in ("users", "objects", "tags")
         )
-        return TripartiteDataset(
-            users=users,
-            objects=objects,
-            tags=tags,
-            user_object=_graph(arrays, "user_object", len(objects)),
-            user_tag=_graph(arrays, "user_tag", len(tags)),
-        )
+        graphs = {
+            name: _checked(
+                name, BipartiteGraph, arrays[f"{name}_indptr"], arrays[f"{name}_indices"], len(ids)
+            )
+            for name, ids in (("user_object", objects), ("user_tag", tags))
+        }
+        return TripartiteDataset(users=users, objects=objects, tags=tags, **graphs)
     except FileNotFoundError as exc:
         raise SnapshotError(f"no snapshot in {directory}; run ingest first") from exc
     except _DAMAGE as exc:

@@ -106,18 +106,19 @@ def test_metric_identity_synthetic():
             lambda_grid=(0.0, 0.25, 0.5, 0.75, 1.0),
             runs=2,
             train_fraction=0.9,
-            list_lengths=(10, 20),
+            # m * L of the last two is past int64's range
+            list_lengths=(10, 20, 2**62, 10**20),
             base_seed=42,
         )
         report = run_sweep(dataset, config)["diffusion"]
         m = dataset.user_object.left_count
         e = dataset.user_object.edge_count
         n_p = e - round(0.9 * e)
-        assert report.cells.shape == (2, 5, 5)  # runs x lambdas x metrics
-        for cell in report.cells.reshape(-1, 5).tolist():
+        assert report.cells.shape == (2, 5, 9)  # runs x lambdas x metrics
+        for cell in report.cells.reshape(-1, 9).tolist():
             assert 0.0 < cell[0] <= 1.0
-            for k, L in enumerate((10, 20), start=1):
-                recall, precision = cell[k], cell[k + 2]
+            for k, L in enumerate(config.list_lengths, start=1):
+                recall, precision = cell[k], cell[k + 4]
                 # both sides are the shared integer numerator over their own
                 # denominator, so the identity is exact
                 hits = round(recall * n_p)

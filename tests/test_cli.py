@@ -700,7 +700,8 @@ def test_console_script_end_to_end(tmp_path):
     # the CI workflow's console-script step, run as `python -m tridiff.cli`
     # processes: ingest; sweeps through crossing points (an 11-point grid)
     # and comparing fused scores (one lambda), whose lambda = 0.5 rows must
-    # be equal; top-L lists of two kinds; top-L lists at lambda = 0 and 1
+    # be equal; a sweep whose m x L is past 2**63, with no negative
+    # precision; top-L lists of two kinds; top-L lists at lambda = 0 and 1
     # with warnings as errors (0 x a collected object's score must give no
     # NaN); a top-L list whose import log names no scipy and no
     # multiprocessing module; an unknown user; and a snapshot cut short by
@@ -730,6 +731,13 @@ def test_console_script_end_to_end(tmp_path):
         lines = (tmp_path / "run" / "sweep_diffusion.csv").read_text(encoding="utf-8")
         rows.append([line for line in lines.splitlines() if line.startswith("diffusion,0.5,")])
     assert rows[0] and rows[0] == rows[1]
+    succeeds(
+        "sweep", "--out", "run", "--runs", "1", "--lambda", "0.5", "--train-frac", "0.5",
+        "--L", "4611686018427387904",
+    )
+    lines = (tmp_path / "run" / "sweep_diffusion.csv").read_text(encoding="utf-8")
+    precision = [line.split(",")[5] for line in lines.splitlines()[1:]]
+    assert precision and not any(value.startswith("-") for value in precision)
     succeeds("recommend", "--out", "run", "--user", "1")
     succeeds("recommend", "--out", "run", "--user", "1", "--similarity", "cosine")
     succeeds("recommend", "--out", "run", "--user", "1", "--lambda", "0", PYTHONWARNINGS="error")

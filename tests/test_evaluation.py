@@ -504,6 +504,17 @@ class TestRunExperiment:
         assert len(reports) == 3
         assert [seed for _, _, seed in calls] == [7, 8]
 
+    def test_nothing_sized_by_runs_before_the_first_split(self, dataset):
+        # a run count no array could hold reaches the first split untouched
+        class FirstSplit(Exception):
+            pass
+
+        def refused(*args):
+            raise FirstSplit
+
+        with mock.patch("tridiff.evaluation.split", refused), pytest.raises(FirstSplit):
+            run_sweep(dataset, self.cfg(runs=10**30))
+
     def test_each_kind_as_if_swept_alone(self, dataset):
         kinds = ("jaccard", "diffusion", "cosine")
         together = run_sweep(dataset, self.cfg(similarity_kinds=kinds))

@@ -145,25 +145,44 @@ def test_pickled_member_is_refused(dataset, tmp_path):
 
 
 # dataset's user-object graph is u0: {o0}, u1: {o0, o1}; its user-tag graph
-# u0: {t0}, u1: {t0}
+# u0: {t0}, u1: {t0}. A failed id-map or graph check names its array.
 @pytest.mark.parametrize(
-    "damage",
+    "damage, reason",
     [
-        {"drop": ("user_tag_indices",)},
-        {"version": 2},
-        {"users": np.array(["u0", "u1", "u0"])},  # a repeated id
-        {"users": np.array([["u0", "u1"]])},
-        {"users": np.arange(2)},
-        {"user_tag_indices": np.array([[0, 0, 0]])},
-        {"user_tag_indices": np.array([0, 1])},  # tag index out of range
-        {"user_object_indices": np.array([0.0, 0.0, 1.0])},  # scipy would cast them
-        {"user_object_indptr": np.array([0.0, 1.0, 3.0])},
-        {"user_object_indptr": np.array([0, 3])},  # one user too few
-        {"user_object_indptr": np.array([0, 2, 1])},
-        {"user_object_indptr": np.array([1, 1, 3])},
-        {"user_object_indptr": np.array([0, 1, 2])},  # the last index left over
-        {"user_object_indices": np.array([0, 1, 0])},  # u1's row unsorted
-        {"user_object_indices": np.array([0, 1, 1])},  # u1 holds o1 twice
+        ({"drop": ("user_tag_indices",)}, None),
+        ({"version": 2}, None),
+        ({"users": np.array(["u0", "u1", "u0"])}, "users: an id repeats"),
+        ({"users": np.array([["u0", "u1"]])}, "users: ids must be a 1-D str array"),
+        ({"users": np.arange(2)}, "users: ids must be a 1-D str array"),
+        (
+            {"user_tag_indices": np.array([[0, 0, 0]])},
+            "user_tag: indices must be a 1-D signed integer array",
+        ),
+        # a tag index out of range
+        ({"user_tag_indices": np.array([0, 1])}, "user_tag: right index out of range"),
+        ({"user_object_indices": np.array([0.0, 0.0, 1.0])}, None),  # scipy would cast them
+        ({"user_object_indptr": np.array([0.0, 1.0, 3.0])}, None),
+        ({"user_object_indptr": np.array([0, 3])}, None),  # one user too few
+        (
+            {"user_object_indptr": np.array([0, 2, 1])},
+            "user_object: indptr must run from 0 to len(indices)",
+        ),
+        (
+            {"user_object_indptr": np.array([1, 1, 3])},
+            "user_object: indptr must run from 0 to len(indices)",
+        ),
+        (  # the last index left over
+            {"user_object_indptr": np.array([0, 1, 2])},
+            "user_object: indptr must run from 0 to len(indices)",
+        ),
+        (  # u1's row unsorted
+            {"user_object_indices": np.array([0, 1, 0])},
+            "user_object: a row has unsorted or repeated indices",
+        ),
+        (  # u1 holds o1 twice
+            {"user_object_indices": np.array([0, 1, 1])},
+            "user_object: a row has unsorted or repeated indices",
+        ),
     ],
     ids=[
         "missing", "version", "repeated", "2d_ids", "int_ids", "3_columns", "range",
@@ -171,11 +190,13 @@ def test_pickled_member_is_refused(dataset, tmp_path):
         "indptr_start", "extra_index", "unsorted_row", "repeated_edge",
     ],
 )
-def test_bad_member_fails_on_load(dataset, tmp_path, damage):
+def test_bad_member_fails_on_load(dataset, tmp_path, damage, reason):
     path = save_dataset(dataset, tmp_path)
     rewrite_snapshot(path, **damage)
-    with pytest.raises(SnapshotError, match=re.escape(str(path))):
+    with pytest.raises(SnapshotError, match=re.escape(str(path))) as raised:
         load_dataset(tmp_path)
+    if reason is not None:
+        assert f"{path}: {reason}" in str(raised.value)
 
 
 def test_truncated_snapshot_fails_on_load(dataset, tmp_path):

@@ -3,10 +3,10 @@
 An index map holds its ids as one numpy str array, the form a snapshot
 stores, and checks them once. Graphs are immutable after construction.
 Adjacency is binary; duplicate input edges collapse to a single edge. A
-graph holds its canonical CSR arrays (indptr, indices) and is the one place
-that checks them. Neighbor lists (the CSR indices) are kept sorted, which
-fixes the order in which the similarity and scoring products sum their
-terms, and so their floats. A graph runs its products (dot, tdot) on
+graph holds its shape and canonical CSR arrays (indptr, indices) and is the
+one place that checks them. Neighbor lists (the CSR indices) are kept
+sorted, which fixes the order in which the similarity and scoring products
+sum their terms, and so their floats. A graph runs its products (dot, tdot) on
 compiled sparse kernels that _sparsetools loads from their file.
 """
 
@@ -137,18 +137,24 @@ class EntityIndexMap:
 class BipartiteGraph:
     """Sparse binary bipartite adjacency (left -> right) in canonical CSR form.
 
-    Left nodes are users; right nodes are objects or tags. Row u's right
-    nodes are indices[indptr[u] : indptr[u + 1]]. Raises
-    GraphConstructionError unless indptr and indices are 1-D signed integer
-    arrays, indptr rises from 0 to len(indices), every index lies in
+    Left nodes are users; right nodes are objects or tags. shape is
+    (left_count, right_count), and row u's right nodes are
+    indices[indptr[u] : indptr[u + 1]]. Raises GraphConstructionError unless
+    indptr and indices are 1-D signed integer arrays, indptr holds
+    left_count + 1 entries rising from 0 to len(indices), every index lies in
     [0, right_count), and every row is strictly increasing (sorted, no
     repeated edge). The arrays are kept as given; do not mutate them.
     """
 
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray, right_count: int):
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, shape: tuple[int, int]):
         for name, array in (("indptr", indptr), ("indices", indices)):
             if not isinstance(array, np.ndarray) or array.dtype.kind != "i" or array.ndim != 1:
                 raise GraphConstructionError(f"{name} must be a 1-D signed integer array")
+        left_count, right_count = int(shape[0]), int(shape[1])
+        if len(indptr) != left_count + 1:
+            raise GraphConstructionError(
+                f"indptr holds {len(indptr)} entries; {left_count} rows need {left_count + 1}"
+            )
         if len(indptr) == 0 or indptr[0] != 0 or indptr[-1] != len(indices):
             raise GraphConstructionError(f"indptr must run from 0 to len(indices), {len(indices)}")
         if (indptr[1:] < indptr[:-1]).any():
@@ -161,12 +167,9 @@ class BipartiteGraph:
             raise GraphConstructionError("a row has unsorted or repeated indices")
         self.indptr = indptr
         self.indices = indices
-        self.right_count = int(right_count)
+        self.shape = (left_count, right_count)
+        self.left_count, self.right_count = self.shape
         self.left_degrees = np.diff(indptr)
-
-    @property
-    def left_count(self) -> int:
-        return len(self.indptr) - 1
 
     @property
     def edge_count(self) -> int:
@@ -181,35 +184,30 @@ class BipartiteGraph:
         return np.ones(len(self.indices))
 
     def dot(self, x: np.ndarray) -> np.ndarray:
-        """A @ x for the graph's (left x right) 0/1 matrix A and a float64 x of
-        shape (right_count,) or (right_count, k), with the csr kernels: each
-        entry sums over the row's right nodes in ascending order."""
+        """A @ x for the graph's (left x right) 0/1 matrix A and a float64
+        block x of shape (right_count, k), with the csr kernels: each entry
+        sums over the row's right nodes in ascending order."""
         return self._product("csr", self.left_count, self.right_count, x)
 
     def tdot(self, x: np.ndarray) -> np.ndarray:
-        """A.T @ x for a float64 x of shape (left_count,) or (left_count, k),
-        with the csc kernels over the same arrays: each entry sums over the
-        right node's users in ascending order."""
+        """A.T @ x for a float64 block x of shape (left_count, k), with the
+        csc kernels over the same arrays: each entry sums over the right
+        node's users in ascending order."""
         return self._product("csc", self.right_count, self.left_count, x)
 
     def _product(self, layout: str, rows: int, cols: int, x: np.ndarray) -> np.ndarray:
-        """The product of x with the (rows x cols) matrix that indptr and
-        indices hold in layout. A vector or one column goes to the _matvec
-        kernel, k != 1 columns in C order to _matvecs, as a sparse matrix's
-        @ dispatches them; the kernels read x unchecked."""
-        if x.ndim not in (1, 2) or x.shape[0] != cols:
+        """The product of the (cols, k) block x with the (rows x cols) matrix
+        that indptr and indices hold in layout. One column goes to the
+        _matvec kernel, k != 1 columns in C order to _matvecs, as a sparse
+        matrix's @ dispatches them; the kernels read x unchecked."""
+        if x.ndim != 2 or x.shape[0] != cols:
             raise ValueError(f"cannot multiply a ({rows}, {cols}) matrix by shape {x.shape}")
-        kernels = _sparsetools()
-        if x.ndim == 1 or x.shape[1] == 1:
-            out = np.zeros(rows)
-            matvec = getattr(kernels, layout + "_matvec")
-            matvec(rows, cols, self.indptr, self.indices, self._ones, x.ravel(), out)
-            return out.reshape(rows, *x.shape[1:])
         out = np.zeros((rows, x.shape[1]))
-        matvecs = getattr(kernels, layout + "_matvecs")
-        matvecs(
-            rows, cols, x.shape[1], self.indptr, self.indices, self._ones, x.ravel(), out.ravel()
-        )
+        if x.shape[1] == 1:
+            kernel, k = getattr(_sparsetools(), layout + "_matvec"), ()
+        else:
+            kernel, k = getattr(_sparsetools(), layout + "_matvecs"), (x.shape[1],)
+        kernel(rows, cols, *k, self.indptr, self.indices, self._ones, x.ravel(), out.ravel())
         return out
 
     def block_edges(self, lefts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -258,7 +256,7 @@ def build_graph(
     dtype = np.int32 if max(left_count, right_count, len(keys)) < 2**31 else np.int64
     indptr = np.zeros(left_count + 1, dtype=dtype)
     np.cumsum(np.bincount(rows, minlength=left_count), out=indptr[1:])
-    return BipartiteGraph(indptr, cols.astype(dtype), right_count)
+    return BipartiteGraph(indptr, cols.astype(dtype), (left_count, right_count))
 
 
 @dataclass(frozen=True)
@@ -272,13 +270,10 @@ class TripartiteDataset:
     user_tag: BipartiteGraph
 
     def __post_init__(self) -> None:
-        m = len(self.users)
-        if self.user_object.left_count != m or self.user_tag.left_count != m:
-            raise ValueError("user-object and user-tag graphs must share the user index")
-        if self.user_object.right_count != len(self.objects):
-            raise ValueError("user-object right count does not match object index map")
-        if self.user_tag.right_count != len(self.tags):
-            raise ValueError("user-tag right count does not match tag index map")
+        for name, right in (("user_object", self.objects), ("user_tag", self.tags)):
+            graph, shape = getattr(self, name), (len(self.users), len(right))
+            if graph.shape != shape:
+                raise ValueError(f"{name} graph has shape {graph.shape}; the id maps give {shape}")
 
     @property
     def is_empty(self) -> bool:

@@ -48,10 +48,18 @@ class RawRecords:
 @dataclass(frozen=True)
 class EvaluationSplit:
     """Training dataset plus the held-out user-object edges, a graph over
-    the training set's users and objects."""
+    the training set's users and objects; raises ValueError unless the test
+    graph has the training user-object graph's shape."""
 
     training: TripartiteDataset
     test: BipartiteGraph
+
+    def __post_init__(self) -> None:
+        if self.test.shape != self.training.user_object.shape:
+            raise ValueError(
+                f"test graph has shape {self.test.shape}, not the training user-object "
+                f"graph's {self.training.user_object.shape}"
+            )
 
 
 def _is_number(token: str) -> bool:

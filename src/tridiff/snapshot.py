@@ -206,7 +206,8 @@ def load_dataset(directory: Path) -> TripartiteDataset:
         )
         graphs = {
             name: _checked(
-                name, BipartiteGraph, arrays[f"{name}_indptr"], arrays[f"{name}_indices"], len(ids)
+                name, BipartiteGraph, arrays[f"{name}_indptr"], arrays[f"{name}_indices"],
+                (len(users), len(ids)),
             )
             for name, ids in (("user_object", objects), ("user_tag", tags))
         }

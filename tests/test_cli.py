@@ -697,8 +697,10 @@ def test_one_parser_shares_no_state(snapshot_dir, tmp_path, capsys):
 
 
 def test_console_script_end_to_end(tmp_path):
-    # the CI workflow's console-script step, run as `python -m tridiff.cli`
-    # processes: ingest; sweeps through crossing points (an 11-point grid)
+    # `python -m tridiff.cli` processes on a six-event dataset, run on every
+    # CI leg; the workflow's console-script step runs only ingest, a top-L
+    # list, the unknown user and a bad lambda through the installed `tridiff`
+    # wrapper. Here: ingest; sweeps through crossing points (an 11-point grid)
     # and comparing fused scores (one lambda), whose lambda = 0.5 rows must
     # be equal; a sweep whose m x L is past 2**63, with no negative
     # precision; top-L lists of two kinds; top-L lists at lambda = 0 and 1

@@ -172,7 +172,7 @@ class TestBuildGraph:
                 build_graph(bad, 3, 2)
 
 
-# a valid graph: u0: {0, 2}, u1: {}, u2: {1}; right_count 3
+# a valid graph: u0: {0, 2}, u1: {}, u2: {1}; shape (3, 3)
 GOOD_INDPTR, GOOD_INDICES = [0, 2, 2, 3], [0, 2, 1]
 
 
@@ -191,22 +191,23 @@ class TestBipartiteGraphChecks:
             ([0, 2, 1, 3], GOOD_INDICES, "decreases"),
             ([0, 2, 2, 2], GOOD_INDICES, "len(indices), 3"),  # ends before the last index
             ([0, 2, 2, 4], GOOD_INDICES, "len(indices), 3"),  # ends past it
-            (np.zeros(0, dtype=np.int64), GOOD_INDICES, "from 0"),  # no row count
+            (np.zeros(0, dtype=np.int64), GOOD_INDICES, "0 entries; 3 rows need 4"),
+            ([0, 2, 3], GOOD_INDICES, "3 entries; 3 rows need 4"),  # canonical for 2 rows
             ([0.0, 2.0, 2.0, 3.0], GOOD_INDICES, "indptr must be"),
         ],
         ids=[
             "repeated_edge", "unsorted_row", "index_too_large", "negative_index",
             "float_indices", "unsigned_indices", "2d_indices", "indptr_start",
             "indptr_decreasing", "indptr_short", "indptr_long", "empty_indptr",
-            "float_indptr",
+            "row_short", "float_indptr",
         ],
     )
     def test_refuses_non_canonical_csr(self, indptr, indices, reason):
-        good = BipartiteGraph(np.array(GOOD_INDPTR), np.array(GOOD_INDICES), 3)
+        good = BipartiteGraph(np.array(GOOD_INDPTR), np.array(GOOD_INDICES), (3, 3))
         assert scipy_matrix(good).data.tolist() == [1.0, 1.0, 1.0]
         assert scipy_matrix(good).toarray().tolist() == [[1, 0, 1], [0, 0, 0], [0, 1, 0]]
         with pytest.raises(GraphConstructionError, match=re.escape(reason)):
-            BipartiteGraph(np.asarray(indptr), np.asarray(indices), 3)
+            BipartiteGraph(np.asarray(indptr), np.asarray(indices), (3, 3))
 
 
 def scipy_csr(edges, m, n):
@@ -305,24 +306,23 @@ class TestGraphInvariants:
 def products(draw):
     """A graph whose indptr and indices are int32 or int64 each, with rows
     and columns of degree zero or no edges at all, whether its transpose
-    multiplies, and a float64 x: a vector, one column or k columns, held in
-    C order, as a transposed view or as a strided view."""
+    multiplies, and a float64 block x of one or k columns, held in C order,
+    as a transposed view or as a strided view."""
     m, n = draw(st.integers(0, 7)), draw(st.integers(0, 7))
     cells = draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n))
     mask = np.array(cells, dtype=bool).reshape(m, n)
     indptr = np.zeros(m + 1, dtype=draw(st.sampled_from([np.int32, np.int64])))
     np.cumsum(mask.sum(axis=1), out=indptr[1:])
     indices = np.nonzero(mask)[1].astype(draw(st.sampled_from([np.int32, np.int64])))
-    graph = BipartiteGraph(indptr, indices, n)
+    graph = BipartiteGraph(indptr, indices, (m, n))
     transposed = draw(st.booleans())
     length = m if transposed else n
-    k = draw(st.sampled_from([None, 1, 2, 3, 5]))
-    shape = (length,) if k is None else (length, k)
+    shape = (length, draw(st.sampled_from([1, 2, 3, 5])))
     layout = draw(st.sampled_from(["C", "transposed", "strided"]))
     if layout == "transposed":
         shape = shape[::-1]
     elif layout == "strided":
-        shape = (2 * length, *shape[1:])
+        shape = (2 * length, shape[1])
     values = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 5e-324, 1e300])
     count = int(np.prod(shape))
     x = np.array(draw(st.lists(values, min_size=count, max_size=count))).reshape(shape)
@@ -351,18 +351,16 @@ class TestProductsMatchScipy:
 
         monkeypatch.setattr(core, "_sparsetools", Spy)
         graph = f1_dataset.user_object
-        graph.dot(np.ones(2)), graph.dot(np.ones((2, 1))), graph.dot(np.ones((2, 3)))
-        graph.tdot(np.ones(3)), graph.tdot(np.ones((3, 1))), graph.tdot(np.ones((3, 2)))
-        assert calls == [
-            "csr_matvec", "csr_matvec", "csr_matvecs", "csc_matvec", "csc_matvec", "csc_matvecs"
-        ]
+        graph.dot(np.ones((2, 1))), graph.dot(np.ones((2, 3)))
+        graph.tdot(np.ones((3, 1))), graph.tdot(np.ones((3, 2)))
+        assert calls == ["csr_matvec", "csr_matvecs", "csc_matvec", "csc_matvecs"]
         calls.clear()
         Scorer(f1_dataset, "diffusion").channel_scores([0])
         assert calls == ["csr_matvec", "csc_matvec"] * 2
 
-    @pytest.mark.parametrize("shape", [(3,), (1, 2), (3, 1), (2, 2, 1), ()])
+    @pytest.mark.parametrize("shape", [(3,), (1, 2), (3, 1), (2, 2, 1), (), (2,)])
     def test_shape_mismatch_raises(self, f1_graph, shape):
-        # the kernels read x unchecked
+        # the kernels read x unchecked; a vector is not a block
         with pytest.raises(ValueError, match="cannot multiply"):
             f1_graph.dot(np.ones(shape))
 
@@ -390,7 +388,8 @@ class TestTripartiteDataset:
         assert ds.user_tag.left_degrees[0] == r
 
     def test_mismatched_user_counts_rejected(self):
-        with pytest.raises(ValueError):
+        reason = "user_object graph has shape (1, 1); the id maps give (2, 1)"
+        with pytest.raises(ValueError, match=re.escape(reason)):
             make_dataset([(0, 0)], [(0, 0)], 1, 1, 1).__class__(
                 users=EntityIndexMap(["u0", "u1"]),
                 objects=EntityIndexMap(["o0"]),

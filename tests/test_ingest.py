@@ -1,4 +1,5 @@
 import math
+import re
 from typing import Iterable
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tridiff.core import EntityIndexMap
-from tridiff.ingest import ParseError, RawRecords, core_filter, parse, split
+from tridiff.core import EntityIndexMap, build_graph
+from tridiff.ingest import EvaluationSplit, ParseError, RawRecords, core_filter, parse, split
+
+from conftest import make_dataset
 
 
 def reference_core(uo, ut):
@@ -612,3 +615,13 @@ class TestSplit:
         test = pair_set(sp.test.edge_array())
         assert train & test == set()
         assert train | test == pair_set(graph.edge_array())
+
+    @pytest.mark.parametrize("shape", [(1, 3), (5, 3), (4, 2)])
+    def test_test_graph_has_the_training_shape(self, shape):
+        # precision divides by the test graph's row count: with the 1-row test
+        # graph, u0's one hit at L = 1 would give 1.0 in place of 0.25
+        training = make_dataset(
+            [(0, 0), (1, 0), (1, 1), (2, 2), (3, 2)], [(u, 0) for u in range(4)], 4, 3, 1
+        )
+        with pytest.raises(ValueError, match=re.escape(f"test graph has shape {shape}")):
+            EvaluationSplit(training, build_graph([(0, 1)], *shape))

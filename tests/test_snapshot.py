@@ -145,12 +145,17 @@ def test_pickled_member_is_refused(dataset, tmp_path):
 
 
 # dataset's user-object graph is u0: {o0}, u1: {o0, o1}; its user-tag graph
-# u0: {t0}, u1: {t0}. A failed id-map or graph check names its array.
+# u0: {t0}, u1: {t0}. Each case pins its reason; a failed id-map or graph
+# check names its array.
 @pytest.mark.parametrize(
     "damage, reason",
     [
-        ({"drop": ("user_tag_indices",)}, None),
-        ({"version": 2}, None),
+        (
+            {"drop": ("user_tag_indices",)},
+            "arrays ['users', 'objects', 'tags', 'user_object_indptr', 'user_object_indices', "
+            "'user_tag_indptr'], expected",
+        ),
+        ({"version": 2}, "format version 2, expected 3; run tridiff ingest again"),
         ({"users": np.array(["u0", "u1", "u0"])}, "users: an id repeats"),
         ({"users": np.array([["u0", "u1"]])}, "users: ids must be a 1-D str array"),
         ({"users": np.arange(2)}, "users: ids must be a 1-D str array"),
@@ -160,9 +165,18 @@ def test_pickled_member_is_refused(dataset, tmp_path):
         ),
         # a tag index out of range
         ({"user_tag_indices": np.array([0, 1])}, "user_tag: right index out of range"),
-        ({"user_object_indices": np.array([0.0, 0.0, 1.0])}, None),  # scipy would cast them
-        ({"user_object_indptr": np.array([0.0, 1.0, 3.0])}, None),
-        ({"user_object_indptr": np.array([0, 3])}, None),  # one user too few
+        (  # scipy would cast them
+            {"user_object_indices": np.array([0.0, 0.0, 1.0])},
+            "'user_object_indices': dtype '<f8' is not one a snapshot holds",
+        ),
+        (
+            {"user_object_indptr": np.array([0.0, 1.0, 3.0])},
+            "'user_object_indptr': dtype '<f8' is not one a snapshot holds",
+        ),
+        (  # one user too few
+            {"user_object_indptr": np.array([0, 3])},
+            "user_object: indptr holds 2 entries; 2 rows need 3",
+        ),
         (
             {"user_object_indptr": np.array([0, 2, 1])},
             "user_object: indptr must run from 0 to len(indices)",
@@ -195,8 +209,7 @@ def test_bad_member_fails_on_load(dataset, tmp_path, damage, reason):
     rewrite_snapshot(path, **damage)
     with pytest.raises(SnapshotError, match=re.escape(str(path))) as raised:
         load_dataset(tmp_path)
-    if reason is not None:
-        assert f"{path}: {reason}" in str(raised.value)
+    assert f"{path}: {reason}" in str(raised.value)
 
 
 def test_truncated_snapshot_fails_on_load(dataset, tmp_path):
